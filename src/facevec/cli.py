@@ -27,12 +27,15 @@ EXIT_INVARIANT = 5
 
 
 def _read_source(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    path = Path(source)
-    if not path.exists():
-        raise InputFormatError(f"no such input file: {source}")
-    return path.read_text()
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        path = Path(source)
+        if not path.exists():
+            raise InputFormatError(f"no such input file: {source}")
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read {source}: {exc}") from None
 
 
 def _load_graph(args):

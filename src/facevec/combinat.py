@@ -5,14 +5,16 @@ Plain binomials serve complexes with no coloring constraint; Turán binomials
 complexes that must stay r-colorable.  Both bounds go through the same two
 steps: expand a face count m canonically at index k, then re-evaluate the
 expansion with every index shifted up by one.
+
+One greedy descent serves both, a color budget of None meaning plain.  Each
+term comes from a log-domain root estimate and an exact integer search, in
+time logarithmic in m and with no tables.
 """
 from __future__ import annotations
 
-import threading
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, exp, lgamma, log
 
 from .errors import InvariantViolation
 
@@ -28,21 +30,24 @@ def turan_parts(n: int, r: int) -> list[int]:
     return [q + 1] * rem + [q] * (r - rem)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)  # values recur across nearby descents and their bounds
 def turan_binom(n: int, k: int, r: int) -> int:
     """Number of k-cliques of the balanced complete r-partite graph on n vertices.
 
-    A k-clique picks k distinct parts and one vertex from each, so this is the
-    k-th elementary symmetric polynomial of the part sizes.  Vanishes for
-    k > r and reduces to a plain binomial once r >= n.
+    A k-clique picks k distinct parts and one vertex from each.  The parts
+    take two sizes, q + 1 (rem of them) and q, so picking i of the larger
+    ones gives sum_i C(rem, i) C(r - rem, k - i) (q + 1)^i q^(k - i).
+    Vanishes for k > r and reduces to a plain binomial once r >= n.
     """
     if k > r:
         return 0
-    coeffs = [1] + [0] * k
-    for p in turan_parts(n, r):
-        for i in range(k, 0, -1):
-            coeffs[i] += coeffs[i - 1] * p
-    return coeffs[k]
+    if n <= r:
+        return comb(n, k)
+    q, rem = divmod(n, r)
+    total = 0
+    for i in range(max(0, k - r + rem), min(k, rem) + 1):
+        total += comb(rem, i) * comb(r - rem, k - i) * (q + 1) ** i * q ** (k - i)
+    return total
 
 
 @dataclass(frozen=True)
@@ -64,15 +69,15 @@ class CanonicalRep:
             return None
         return self.color_budget - (self.k - j)
 
-    def _term_value(self, n: int, j: int, shift: int = 0) -> int:
-        rho = self.budget_at(j)
-        if rho is None:
-            return comb(n, j + shift)
-        return turan_binom(n, j + shift, rho)
+    def _shifted_sum(self, shift: int) -> int:
+        r, k = self.color_budget, self.k
+        if r is None:
+            return sum(comb(n, j + shift) for n, j in self.terms)
+        return sum(turan_binom(n, j + shift, r - k + j) for n, j in self.terms)
 
     def evaluate(self) -> int:
         """Recover the integer this expansion represents."""
-        return sum(self._term_value(n, j) for n, j in self.terms)
+        return self._shifted_sum(0)
 
     def successor_bound(self) -> int:
         """Evaluate the expansion with every index raised by one.
@@ -80,74 +85,83 @@ class CanonicalRep:
         This is the largest possible face count one level up: the shadow-type
         bound attached to this representation.
         """
-        return sum(self._term_value(n, j, shift=1) for n, j in self.terms)
+        return self._shifted_sum(1)
 
     def validate(self) -> None:
         """Check the chain conditions that make the expansion unique."""
-        for idx, (n, j) in enumerate(self.terms):
-            if j != self.k - idx or j < 1 or n < j:
+        k, r, terms = self.k, self.color_budget, self.terms
+        for idx, (n, j) in enumerate(terms):
+            if j != k - idx or j < 1 or n < j:
                 raise InvariantViolation(f"bad term chain in {self}")
-        if self.color_budget is None:
-            for (n_hi, _), (n_lo, _) in zip(self.terms, self.terms[1:]):
-                if n_hi <= n_lo:
-                    raise InvariantViolation(f"values not strictly decreasing in {self}")
+        for (n_hi, j_hi), (n_lo, _) in zip(terms, terms[1:]):
+            if r is None and n_hi <= n_lo:
+                raise InvariantViolation(f"values not strictly decreasing in {self}")
+            if r is not None and n_hi - n_hi // (r - k + j_hi) <= n_lo:
+                raise InvariantViolation(f"colored chain condition fails in {self}")
+
+
+def _largest(m: int, k: int, r: int | None) -> tuple[int, int]:
+    """Largest n with value(n, k) <= m, and that value, for m >= 1 and 1 <= k <= r.
+
+    C(n, k) <= (n - (k-1)/2)^k / k!, and turan_binom(n, k, r) <= C(r, k) (n/r)^k
+    with equality when r divides n; below r, where m < (r/k)^k, it is C(n, k).
+    Inverted in the log domain these start at or just below the answer; an
+    exact gallop, then a bisection, settle it for any m.
+    """
+    log_m = log(m)
+    try:
+        if r is not None and log_m >= k * log(r / k):
+            start = int(r * exp((log_m - log(comb(r, k))) / k))
         else:
-            for (n_hi, j_hi), (n_lo, _) in zip(self.terms, self.terms[1:]):
-                rho = self.budget_at(j_hi)
-                assert rho is not None
-                if n_hi - n_hi // rho <= n_lo:
-                    raise InvariantViolation(f"colored chain condition fails in {self}")
+            start = int(exp((log_m + lgamma(k + 1)) / k) + (k - 1) / 2)
+    except OverflowError:  # k, r / k or the root is beyond float range: climb from k
+        start = k
+    start = k if start < k else start
+    probe, step, lo, hi = start, 1, None, None
+    while True:
+        value = comb(probe, k) if r is None else turan_binom(probe, k, r)
+        if value <= m:
+            lo, lo_value = probe, value
+        else:
+            hi = probe
+        if hi is None:
+            probe, step = start + step, 2 * step
+        elif lo is None:  # float rounding put the start above the answer
+            probe, step = max(start - step, k), 2 * step
+        elif hi - lo > 1:
+            probe = (lo + hi) // 2
+        else:
+            return lo, lo_value
 
 
-# Growing tables of binomial / Turán-binomial values for the greedy descent:
-# _kk_tables[k][i] = C(k + i, k), _ffk_tables[(k, r)][i] = turan_binom(k + i, k, r).
-# Append-only growth behind a lock; readers may safely see a longer table.
-_kk_tables: dict[int, list[int]] = {}
-_ffk_tables: dict[tuple[int, int], list[int]] = {}
-_table_lock = threading.Lock()
-
-
-def _largest_plain(m: int, k: int) -> int:
-    """Largest n with C(n, k) <= m, for m >= 1, k >= 1."""
-    table = _kk_tables.setdefault(k, [1])
-    if table[-1] <= m:
-        with _table_lock:
-            while table[-1] <= m:
-                table.append(comb(k + len(table), k))
-    return k + bisect_right(table, m) - 1
-
-
-def _largest_turan(m: int, k: int, r: int) -> int:
-    """Largest n with turan_binom(n, k, r) <= m, for m >= 1, 1 <= k <= r."""
-    table = _ffk_tables.setdefault((k, r), [1])
-    if table[-1] <= m:
-        with _table_lock:
-            while table[-1] <= m:
-                table.append(turan_binom(k + len(table), k, r))
-    return k + bisect_right(table, m) - 1
+def _canonical(m: int, k: int, r: int | None) -> CanonicalRep:
+    """Greedy largest-term descent, dropping one color per index step if r is set."""
+    if m < 0 or k < 1:
+        raise ValueError(f"need m >= 0 and k >= 1, got m={m}, k={k}")
+    if r is not None and r < k:
+        raise ValueError(f"color budget r={r} must be at least k={k}")
+    terms: list[tuple[int, int]] = []
+    j, rho = k, r
+    while m > 0:
+        if j < 1:
+            raise InvariantViolation(f"greedy descent ran out of indices for m={m}")
+        n, value = (m, m) if j == 1 else _largest(m, j, rho)
+        terms.append((n, j))
+        m -= value
+        j -= 1
+        rho = None if rho is None else rho - 1
+    rep = CanonicalRep(k=k, color_budget=r, terms=tuple(terms))
+    rep.validate()
+    return rep
 
 
 def kk_canonical(m: int, k: int) -> CanonicalRep:
     """k-canonical representation of m: greedy largest-binomial descent.
 
-    The greedy result always satisfies the chain condition
-    n_k > n_{k-1} > ... >= last index; that is re-checked before returning,
-    so a violation can only mean an implementation bug.
+    The chain condition n_k > n_{k-1} > ... >= last index always holds and is
+    re-checked before returning, so a violation can only mean a bug.
     """
-    if m < 0 or k < 1:
-        raise ValueError(f"need m >= 0 and k >= 1, got m={m}, k={k}")
-    terms: list[tuple[int, int]] = []
-    j = k
-    while m > 0:
-        if j < 1:
-            raise InvariantViolation(f"greedy descent ran out of indices for m={m}")
-        n = m if j == 1 else _largest_plain(m, j)
-        terms.append((n, j))
-        m -= comb(n, j)
-        j -= 1
-    rep = CanonicalRep(k=k, color_budget=None, terms=tuple(terms))
-    rep.validate()
-    return rep
+    return _canonical(m, k, None)
 
 
 def kk_shadow_bound(m: int, k: int) -> int:
@@ -158,27 +172,10 @@ def kk_shadow_bound(m: int, k: int) -> int:
 def ffk_canonical(m: int, k: int, r: int) -> CanonicalRep:
     """(k, r)-canonical representation of m, for color budget r >= k.
 
-    Greedy descent on Turán binomials, dropping one color per index step.
-    The colored chain condition n_j - floor(n_j / budget) > n_{j-1} is
-    re-checked before returning.
+    Greedy descent on Turán binomials, dropping one color per index step; the
+    colored chain condition n_j - floor(n_j / budget) > n_{j-1} is re-checked.
     """
-    if m < 0 or k < 1:
-        raise ValueError(f"need m >= 0 and k >= 1, got m={m}, k={k}")
-    if r < k:
-        raise ValueError(f"color budget r={r} must be at least k={k}")
-    terms: list[tuple[int, int]] = []
-    j, rho = k, r
-    while m > 0:
-        if j < 1:
-            raise InvariantViolation(f"greedy descent ran out of indices for m={m}")
-        n = m if j == 1 else _largest_turan(m, j, rho)
-        terms.append((n, j))
-        m -= turan_binom(n, j, rho)
-        j -= 1
-        rho -= 1
-    rep = CanonicalRep(k=k, color_budget=r, terms=tuple(terms))
-    rep.validate()
-    return rep
+    return _canonical(m, k, r)
 
 
 def ffk_bound(m: int, k: int, r: int) -> int:

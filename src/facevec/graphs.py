@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .errors import GuardExceeded, InputFormatError

@@ -181,6 +181,8 @@ def iter_random_records(n: int, p, trials: int, seed: int):
     """
     if n > RANDOM_VERTEX_LIMIT:
         raise ValueError(f"random verification capped at n <= {RANDOM_VERTEX_LIMIT}")
+    if n < 0:
+        raise ValueError(f"random verification needs n >= 0, got {n}")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")

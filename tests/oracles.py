@@ -4,6 +4,7 @@ Everything here works straight from definitions with itertools and math.comb
 and never calls into the package, so agreement between the two is evidence,
 not circularity.
 """
+from bisect import bisect_right
 from itertools import combinations, product
 from math import comb
 
@@ -201,3 +202,46 @@ def ffk_chains_by_sum(limit, k, r, turan_binom):
 
     extend(0, k, r, limit + k + 1, ())
     return buckets
+
+
+def turan_binom_slow(n, k, r):
+    """k-cliques of the balanced complete r-partite graph on n vertices, as the
+    k-th elementary symmetric polynomial of the part sizes, one part at a time."""
+    if k > r:
+        return 0
+    q, rem = divmod(n, r)
+    coeffs = [1] + [0] * k
+    for part in [q + 1] * rem + [q] * (r - rem):
+        for i in range(k, 0, -1):
+            coeffs[i] += coeffs[i - 1] * part
+    return coeffs[k]
+
+
+def slow_value(n, k, r):
+    """C(n, k) for the plain expansion (r None), the slow Turán binomial otherwise."""
+    return comb(n, k) if r is None else turan_binom_slow(n, k, r)
+
+
+def greedy_terms_by_table(m, k, r, tables):
+    """Greedy canonical term list of m at index k, color budget r (None: plain).
+
+    At each index j the table of value(j + i, j), i = 0, 1, ..., grows until it
+    passes m and the greedy term is found by bisection in it; index 1 takes
+    n = m directly.  ``tables`` maps (j, budget) to its table and may be
+    shared between calls; its memory grows like m ** (1 / j).
+    """
+    terms = []
+    j, rho = k, r
+    while m > 0:
+        if j == 1:
+            terms.append((m, 1))
+            break
+        table = tables.setdefault((j, rho), [1])
+        while table[-1] <= m:
+            table.append(slow_value(j + len(table), j, rho))
+        idx = bisect_right(table, m) - 1
+        terms.append((j + idx, j))
+        m -= table[idx]
+        j -= 1
+        rho = None if rho is None else rho - 1
+    return terms

@@ -87,6 +87,26 @@ class TestGoldenOutputs:
         assert code == 0
         assert out == "face-vector 1 10 42 99 146\n"
 
+    def test_kk_bound_beyond_any_table(self):
+        # C(141421356, 2) + 104271310 == 10**16, checked with math.comb
+        code, out, err = invoke(["kk-bound", "--m", "10000000000000000", "--k", "2"])
+        assert code == 0 and err == ""
+        assert out == (
+            "10000000000000000 = C(141421356,2) + C(104271310,1);"
+            " bound = 471404513854189711237815\n"
+        )
+
+    def test_ffk_bound_huge_budget(self):
+        code, out, err = invoke(["ffk-bound", "--m", "10", "--k", "2", "--r", "1000000000"])
+        assert code == 0 and err == ""
+        assert out == "10 = C(5,2)_1000000000; bound = 10\n"
+
+    def test_kk_bound_huge_index(self):
+        code, out, err = invoke(["kk-bound", "--m", "10", "--k", "100000"])
+        assert code == 0 and err == ""
+        terms = " + ".join(f"C({n},{n})" for n in range(100000, 99990, -1))
+        assert out == f"10 = {terms}; bound = 0\n"
+
     def test_outputs_are_stable_across_runs(self, pentagon_file):
         for argv in (
             ["kk-bound", "--m", "99", "--k", "3"],
@@ -176,6 +196,29 @@ class TestExitCodes:
         bad.write_text("3 1\n1 9\n")
         code, _, _ = invoke(["cliquevec", str(bad)])
         assert code == 3
+
+    def test_input_error_directory(self, tmp_path):
+        code, out, err = invoke(["cliquevec", str(tmp_path)])
+        assert code == 3 and out == ""
+        assert err.startswith("facevec: input error: cannot read") and err.count("\n") == 1
+
+    def test_input_error_not_utf8_file(self, tmp_path):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"\xff3 1\n1 2\n")
+        code, _, err = invoke(["cliquevec", str(bad)])
+        assert code == 3 and "input error" in err and err.count("\n") == 1
+
+    def test_input_error_not_utf8_stdin(self, monkeypatch):
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"))
+        code, _, err = invoke(["cliquevec", "-"])
+        assert code == 3 and "input error" in err and err.count("\n") == 1
+
+    def test_usage_error_negative_random_vertices(self):
+        code, out, err = invoke(["verify", "--random", "-3", "1/2", "2", "1"])
+        assert code == 2 and out == ""
+        assert err == "facevec: usage error: random verification needs n >= 0, got -3\n"
 
     def test_guard_exit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FACEVEC_GUARD", "40")

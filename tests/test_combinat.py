@@ -1,3 +1,7 @@
+import random
+import time
+import tracemalloc
+
 import pytest
 
 from facevec import (
@@ -13,7 +17,15 @@ from facevec import (
     turan_parts,
 )
 
-from oracles import brute_cliques_by_size, ffk_term_lists, kk_term_lists, turan_edges_roundrobin
+from oracles import (
+    brute_cliques_by_size,
+    ffk_term_lists,
+    greedy_terms_by_table,
+    kk_term_lists,
+    slow_value,
+    turan_binom_slow,
+    turan_edges_roundrobin,
+)
 
 
 class TestBinom:
@@ -76,6 +88,13 @@ class TestTuranBinom:
                 for k in range(0, n + 1):
                     expected = counts[k] if k < len(counts) else 0
                     assert turan_binom(n, k, r) == expected
+
+    def test_closed_form_against_elementary_symmetric_oracle(self):
+        # k = r + 1 covers the vanishing case, n < r the plain-binomial one
+        for r in range(1, 13):
+            for k in range(0, r + 2):
+                for n in range(0, 301):
+                    assert turan_binom(n, k, r) == turan_binom_slow(n, k, r), (n, k, r)
 
     def test_against_package_turan_graph(self):
         for n in range(0, 10):
@@ -227,30 +246,118 @@ class TestBoundProperties:
                 assert values == sorted(values)
 
 
-class TestConcurrentTables:
-    def test_greedy_tables_grow_safely_under_threads(self):
+def _canonical(m, k, r):
+    return kk_canonical(m, k) if r is None else ffk_canonical(m, k, r)
+
+
+class TestDescentAgainstTableOracle:
+    def test_term_lists_and_bounds_match(self):
+        rng = random.Random(20061)
+        for k in range(1, 9):
+            # the oracle's table at index k grows like m ** (1 / k)
+            top = 12 if k >= 3 else 9
+            for r in [None, *range(k, 9)]:
+                tables = {}
+                for _ in range(40):
+                    m = int(10 ** rng.uniform(0, top))
+                    lead, _ = greedy_terms_by_table(m, k, r, tables)[0]
+                    exact = slow_value(lead, k, r)
+                    for mm in (m, exact, exact - 1):
+                        expected = greedy_terms_by_table(mm, k, r, tables)
+                        rep = _canonical(mm, k, r)
+                        assert list(rep.terms) == expected, (mm, k, r)
+                        assert rep.successor_bound() == sum(
+                            slow_value(n, j + 1, rep.budget_at(j)) for n, j in expected
+                        )
+
+
+def _check_value(n, j, rho):
+    # the slow oracle walks every part, so huge budgets use the closed form,
+    # which TestTuranBinom checks against it
+    return turan_binom(n, j, rho) if rho is not None and rho > 100 else slow_value(n, j, rho)
+
+
+def _assert_greedy(rep, m):
+    rep.validate()
+    assert rep.evaluate() == m
+    rest = m
+    for n, j in rep.terms:
+        rho = rep.budget_at(j)
+        value = _check_value(n, j, rho)
+        assert value <= rest < _check_value(n + 1, j, rho), (m, rep.k, rep.color_budget, n, j)
+        rest -= value
+    assert rest == 0
+
+
+class TestHugeInputs:
+    def test_huge_m_answers_fast_with_flat_memory(self):
+        rng = random.Random(7)
+        queries = [
+            (m, k, r)
+            for k in range(2, 9)
+            for r in (None, k, k + 3, 10**9)
+            for m in (10**100, int(10 ** rng.uniform(12, 100)))
+        ]
+        tracemalloc.start()
+        try:
+            start = time.monotonic()
+            reps = [_canonical(m, k, r) for m, k, r in queries]
+            elapsed = time.monotonic() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 10.0
+        assert peak < 20 * 2**20
+        for (m, _, _), rep in zip(queries, reps):
+            _assert_greedy(rep, m)
+
+    def test_huge_index_and_budget(self):
+        for m in (10, 10**100):
+            for r in (None, 10**9):
+                _assert_greedy(_canonical(m, 100_000, r), m)
+
+    def test_beyond_float_range(self):
+        # the root estimate exceeds the largest float here
+        for m, k in ((10**1000, 2), (10**3000, 4)):
+            for r in (None, k + 2):
+                _assert_greedy(_canonical(m, k, r), m)
+        # and here k or the budget cannot be a float at all
+        _assert_greedy(kk_canonical(10, 10**400), 10)
+        _assert_greedy(ffk_canonical(10**50, 3, 10**400), 10**50)
+
+
+class TestConcurrentDescent:
+    def test_descent_is_consistent_under_threads(self):
+        # Six threads share the bounded Turán-value cache; the log-spaced m
+        # need about twice its size in values, so entries are evicted while
+        # other threads read them.
+        import sys
         import threading
 
-        import facevec.combinat as cb
-
-        cb._kk_tables.pop(4, None)
-        cb._ffk_tables.pop((4, 6), None)
+        queries = [5000 + i for i in range(400)] + [int(10 ** (4 + i / 400)) for i in range(8000)]
         results = []
 
         def worker():
             results.append(
-                [(kk_canonical(m, 4).terms, ffk_canonical(m, 4, 6).terms)
-                 for m in range(5000, 5400)]
+                [(kk_canonical(m, 4).terms, ffk_canonical(m, 4, 6).terms) for m in queries]
             )
 
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 6
         assert all(r == results[0] for r in results)
-        for m in range(5000, 5400):
-            assert kk_canonical(m, 4).evaluate() == m
+        for m, (plain, colored) in zip(queries, results[0]):
+            assert CanonicalRep(4, None, plain).evaluate() == m
+            assert CanonicalRep(4, 6, colored).evaluate() == m
 
 
 class TestCanonicalRepValidation:
