@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from . import graphs
 from .errors import GuardExceeded
@@ -42,30 +43,12 @@ class Complex:
     def from_faces(cls, faces) -> "Complex":
         """Build a complex whose face set is the downward closure of ``faces``.
 
-        Dominated faces (subsets of another given face) are dropped so that
-        equal complexes always compare equal.
+        Only the given faces that lie in no larger one are kept, so equal
+        complexes always compare equal.  The walk stops at the smallest given
+        size, so a lone simplex costs nothing to build.
         """
-        pool: set[Face] = {validate_face(f) for f in faces}
-        if not pool:
-            return cls(frozenset())
-        by_size: dict[int, set[Face]] = {}
-        for f in pool:
-            by_size.setdefault(len(f), set()).add(f)
-        sizes = sorted(by_size, reverse=True)
-        facets: set[Face] = set()
-        dominated: set[Face] = set()
-        for s in sizes:
-            keep = by_size[s] - dominated
-            facets |= keep
-            lower = [s2 for s2 in sizes if s2 < s]
-            for f in keep:
-                for s2 in lower:
-                    dominated.update(combinations(f, s2))
-        return cls(frozenset(facets))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.facets
+        pool = [validate_face(f) for f in faces]
+        return cls(frozenset(_close(pool, min(map(len, pool), default=0), face_guard())[0]))
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -75,10 +58,6 @@ class Complex:
     def dimension(self) -> int:
         """Largest face size minus one; -1 for both degenerate complexes."""
         return max((len(f) for f in self.facets), default=0) - 1
-
-    def has_face(self, face: Face) -> bool:
-        fs = set(validate_face(face))
-        return any(fs <= set(facet) for facet in self.facets)
 
 
 @dataclass(frozen=True, eq=True)
@@ -93,29 +72,46 @@ class ColoredComplex:
         return len(set(self.coloring.values()))
 
 
+def _close(faces, floor: int, cap: int) -> tuple[set[Face], list[set[Face]]]:
+    """Walk the downward closure of ``faces`` from the largest size to ``floor``.
+
+    Level s is the given s-faces plus the codimension-1 boundaries of level
+    s+1, so by induction it holds every s-face of the closure; a given face
+    in no boundary is a facet.  Returns the facets and the levels by size,
+    empty below ``floor``.  Raises ``GuardExceeded`` once the walk holds more
+    than ``cap`` faces, or up front when one level of the largest face would.
+    """
+    given: dict[int, set[Face]] = {}
+    for f in faces:
+        given.setdefault(len(f), set()).add(f)
+    top = max(given, default=-1)
+    if top >= 0 and comb(top, max(floor, top // 2)) > cap:
+        raise GuardExceeded(f"closure exceeds the face cap {cap}")
+    levels: list[set[Face]] = [set() for _ in range(top + 2)]
+    facets: set[Face] = set()
+    room = cap
+    for s in range(top, floor - 1, -1):
+        level, own = levels[s], given.get(s, set())
+        for f in levels[s + 1]:
+            level.update(combinations(f, s))
+            if len(level) > room:
+                break
+        facets |= own - level
+        level |= own
+        room -= len(level)
+        if room < 0:
+            raise GuardExceeded(f"closure exceeds the face cap {cap}")
+    return facets, levels[:-1]
+
+
 def closure(c: Complex, guard: int | None = None) -> set[Face]:
     """Materialize every face of the complex, empty face included."""
-    cap = face_guard() if guard is None else guard
-    faces: set[Face] = set()
-    for facet in c.facets:
-        if 2 ** len(facet) > 4 * cap:
-            raise GuardExceeded(f"facet on {len(facet)} vertices alone exceeds the face cap {cap}")
-        for s in range(len(facet) + 1):
-            faces.update(combinations(facet, s))
-        if len(faces) > cap:
-            raise GuardExceeded(f"closure exceeds the face cap {cap}")
-    return faces
+    return set().union(*_close(c.facets, 0, face_guard() if guard is None else guard)[1])
 
 
 def face_vector(c: Complex, guard: int | None = None) -> FaceVector:
     """Exact face counts (c_0, c_1, ..., c_d) of the closure; () when empty."""
-    faces = closure(c, guard)
-    if not faces:
-        return ()
-    counts = [0] * (max(len(f) for f in faces) + 1)
-    for f in faces:
-        counts[len(f)] += 1
-    return tuple(counts)
+    return tuple(map(len, _close(c.facets, 0, face_guard() if guard is None else guard)[1]))
 
 
 def link(c: Complex, face: Face) -> Complex:

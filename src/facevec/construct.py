@@ -9,12 +9,12 @@ single multi-level colored rev-lex complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .combinat import ffk_bound
-from .complexes import ColoredComplex, Complex, Face, face_vector, vec_entry
+from .complexes import ColoredComplex, Complex, Face, _close, face_vector, vec_entry
 from .errors import InvariantViolation
 from .graphs import Graph, clique_vector, graph_link, remove_vertices
+from .limits import face_guard
 from .revlex import LevelSpec, colored_revlex_complex, first_permissible_ksets
 
 
@@ -40,12 +40,6 @@ class ConstructionTrace:
     non_neighbors: tuple[int, ...] = ()
     steps: tuple[TraceStep, ...] = ()
     sub: "ConstructionTrace | None" = None
-
-    def cone_levels(self, step: TraceStep) -> tuple[tuple[int, int], ...]:
-        """LevelSpec of the rev-lex complex coned below the step's new vertex."""
-        if self.k >= 2:
-            return ((self.k - 1, step.b), (self.k, step.a))
-        return ((self.k, step.a),)
 
 
 def construct_pair(g: Graph, r: int, k: int) -> tuple[ColoredComplex, ConstructionTrace]:
@@ -113,12 +107,10 @@ def _pair(g: Graph, cv: tuple[int, ...], r: int, k: int) -> tuple[ColoredComplex
     entries: list[tuple[int, int]] = []
     pad = 0
     if k >= 2:
-        shadow: set[Face] = set()
-        for f in first_permissible_ksets(ck_link, k, r - 1):
-            shadow.update(combinations(f, k - 1))
-        for f in first_permissible_ksets(ck1_link, k + 1, r - 1):
-            shadow.update(combinations(f, k - 1))
-        pad = max(vec_entry(cv, k - 1), len(shadow))
+        segments = first_permissible_ksets(ck_link, k, r - 1)
+        segments += first_permissible_ksets(ck1_link, k + 1, r - 1)
+        _, shadow = _close(segments, k - 1, face_guard())
+        pad = max(vec_entry(cv, k - 1), len(shadow[k - 1]))
         entries.append((k - 1, pad))
         if ffk_bound(pad, k - 1, r - 1) < ck_link:
             raise InvariantViolation("padded level cannot support the link's k-faces")

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import GuardExceeded, InputFormatError
-from .limits import face_guard
+from .limits import EXHAUSTIVE_CAP, face_guard
 
-EXHAUSTIVE_CAP = 8  # labeled generation stops at 2^C(8,2) graphs
 MASK_WIDTH_CAP = 64
 
 
@@ -271,6 +270,8 @@ def _parse_edge_list(text: str) -> Graph:
         raise InputFormatError(f"edge-list header must be 'n m', got {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise InputFormatError("vertex and edge counts must be nonnegative")
+    if n > MASK_WIDTH_CAP:
+        raise InputFormatError(f"edge-list vertex count {n} beyond the {MASK_WIDTH_CAP}-vertex cap")
     body = lines[1:]
     if len(body) != m:
         raise InputFormatError(f"header declares {m} edges but {len(body)} lines follow")

@@ -9,6 +9,9 @@ GUARD_ENV_VAR = "FACEVEC_GUARD"
 # Exact chromatic number is only attempted up to this many vertices.
 CHROMATIC_CAP = 20
 
+# Exhaustive generation and verification stop at 2^C(7,2) labeled graphs.
+EXHAUSTIVE_CAP = 7
+
 
 def face_guard() -> int:
     """Active face/clique cap: the env override when set, else the default."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import ColoredComplex, Complex, Face
-from .errors import InputFormatError
+from .errors import GuardExceeded, InputFormatError
+from .limits import face_guard
 
 
 def revlex_key(face: Face) -> tuple[int, ...]:
@@ -158,6 +159,19 @@ class LevelSpec:
             raise InputFormatError(str(exc)) from None
 
 
+def _union(spec: LevelSpec, colors: int | None) -> Complex:
+    """Union of the requested initial segments; refused before enumerating when
+    the empty face plus the requested faces (all distinct) pass the guard."""
+    cap = face_guard()
+    if 1 + sum(count for _, count in spec.entries) > cap:
+        raise GuardExceeded(f"requested levels exceed the face cap {cap}")
+    facets: list[Face] = []
+    for size, count in spec.entries:
+        facets.extend(first_ksets(count, size) if colors is None
+                      else first_permissible_ksets(count, size, colors))
+    return Complex.from_faces(facets if facets else [()])
+
+
 def revlex_complex(spec: LevelSpec) -> Complex:
     """Union of the initial-segment complexes at every requested level.
 
@@ -165,10 +179,7 @@ def revlex_complex(spec: LevelSpec) -> Complex:
     exactly the requested number of faces at each level; this function builds
     the complex either way and leaves exactness to its callers.
     """
-    facets: list[Face] = []
-    for size, count in spec.entries:
-        facets.extend(first_ksets(count, size))
-    return Complex.from_faces(facets if facets else [()])
+    return _union(spec, None)
 
 
 def colored_revlex_complex(spec: LevelSpec, colors: int) -> ColoredComplex:
@@ -179,9 +190,6 @@ def colored_revlex_complex(spec: LevelSpec, colors: int) -> ColoredComplex:
     """
     if colors < 1:
         raise ValueError("need at least one color")
-    facets: list[Face] = []
-    for size, count in spec.entries:
-        facets.extend(first_permissible_ksets(count, size, colors))
-    cx = Complex.from_faces(facets if facets else [()])
+    cx = _union(spec, colors)
     coloring = {v: (v - 1) % colors + 1 for v in cx.vertices}
     return ColoredComplex(complex=cx, colors=colors, coloring=coloring)

@@ -24,10 +24,9 @@ from .complexes import (
 from .construct import construct_from_vector
 from .errors import GuardExceeded
 from .graphs import Graph, clique_vector, graph6_encode, _clique_counts
-from .limits import CHROMATIC_CAP, face_guard
+from .limits import CHROMATIC_CAP, EXHAUSTIVE_CAP, face_guard
 from .revlex import LevelSpec, colored_revlex_complex, revlex_complex
 
-EXHAUSTIVE_LIMIT = 7
 RANDOM_VERTEX_LIMIT = 24
 RECORD_RETENTION_LIMIT = 100_000
 
@@ -117,8 +116,8 @@ def iter_exhaustive_records(n: int):
     constructed complex is a function of the vector alone, while the vector
     itself is recounted from scratch for every single graph.
     """
-    if n > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"exhaustive verification capped at n <= {EXHAUSTIVE_LIMIT}")
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive verification capped at n <= {EXHAUSTIVE_CAP}")
     pairs = list(combinations(range(n), 2))
     cap = face_guard()
     cache: dict[tuple[int, ...], GraphRecord] = {}

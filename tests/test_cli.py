@@ -228,6 +228,28 @@ class TestExitCodes:
         code, _, err = invoke(["cliquevec", str(big)])
         assert code == 4 and "guard" in err
 
+    def test_guard_trips_before_revlex_enumeration(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setenv("FACEVEC_GUARD", "1000")
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(["revlex", "--levels", "2:2000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4 and out == ""
+        assert err.startswith("facevec: resource guard:") and err.count("\n") == 1
+        assert peak < 50 * 2**20
+
+    def test_input_error_edge_list_beyond_vertex_cap(self, tmp_path):
+        huge = tmp_path / "huge.edges"
+        huge.write_text("300000000 0\n")
+        code, out, err = invoke(["cliquevec", str(huge)])
+        assert code == 3 and out == ""
+        assert err.startswith("facevec: input error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_usage_error_bad_precondition(self):
         code, _, err = invoke(["ffk-bound", "--m", "10", "--k", "3", "--r", "2"])
         assert code == 2 and "usage error" in err

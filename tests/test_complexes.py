@@ -47,6 +47,8 @@ class TestComplexConstruction:
         assert empty != point
         assert face_vector(empty) == ()
         assert face_vector(point) == (1,)
+        assert closure(empty) == set() and closure(point) == {()}
+        assert Complex.from_faces([(), ()]) == point
 
     def test_incomparable_facets_kept(self):
         cx = Complex.from_faces([(1, 2), (2, 3), (1, 3)])
@@ -264,3 +266,68 @@ class TestBruteForceAgreement:
         for facets in samples:
             cx = Complex.from_faces(facets)
             assert face_vector(cx) == brute_face_vector(brute_closure(cx.facets))
+
+
+def _random_family(rng):
+    """Faces on at most 9 vertices at a few random sizes, often with gaps
+    between them, plus repeats and subsets of faces already drawn."""
+    vertices = range(1, rng.randint(1, 9) + 1)
+    sizes = rng.sample(range(len(vertices) + 1), rng.randint(1, min(3, len(vertices) + 1)))
+    faces = [tuple(sorted(rng.sample(vertices, rng.choice(sizes)))) for _ in range(rng.randint(1, 8))]
+    for f in list(faces):
+        if rng.random() < 0.3:
+            faces.append(f)
+        if f and rng.random() < 0.3:
+            faces.append(tuple(sorted(rng.sample(f, rng.randrange(len(f))))))
+    rng.shuffle(faces)
+    return faces
+
+
+class TestBoundaryWalkAgainstOracle:
+    def test_seeded_families(self):
+        import random
+
+        rng = random.Random(20061018)
+        for _ in range(400):
+            faces = _random_family(rng)
+            expected = brute_closure(faces)
+            cx = Complex.from_faces(faces)
+            assert cx.facets == {f for f in expected if not any(set(f) < set(g) for g in faces)}
+            assert closure(cx) == expected
+            assert face_vector(cx) == brute_face_vector(expected)
+
+    def test_gaps_duplicates_and_dominated_inputs(self):
+        faces = [(1, 2, 3, 4, 5), (2, 4), (2, 4), (6,), (1, 3, 5), (), (6,)]
+        cx = Complex.from_faces(faces)
+        assert cx.facets == {(1, 2, 3, 4, 5), (6,)}
+        assert closure(cx) == brute_closure(faces)
+        assert face_vector(cx) == (1, 6, 10, 10, 5, 1)
+
+    def test_guard_counts_every_level_walked(self, pentagon):
+        assert len(closure(pentagon, guard=11)) == 11
+        with pytest.raises(GuardExceeded):
+            closure(pentagon, guard=10)
+        with pytest.raises(GuardExceeded):
+            face_vector(pentagon, guard=10)
+
+    def test_oversized_facet_is_refused_before_any_level_is_made(self):
+        import tracemalloc
+
+        cx = Complex.from_faces([tuple(range(1, 41))])
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceeded):
+                closure(cx, guard=10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_from_faces_trips_the_guard(self, monkeypatch):
+        monkeypatch.setenv("FACEVEC_GUARD", "10")
+        # a lone simplex is free to build: only its own size is walked
+        assert Complex.from_faces([tuple(range(1, 21))]).dimension == 19
+        with pytest.raises(GuardExceeded):
+            Complex.from_faces([tuple(range(1, 21)), (1,)])
+        with pytest.raises(GuardExceeded):
+            Complex.from_faces([(i,) for i in range(1, 12)])

@@ -215,7 +215,7 @@ class TestAllGraphs:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            next(all_graphs(9))
+            next(all_graphs(8))
 
     def test_mask_roundtrip(self):
         for mask, g in enumerate(all_graphs(4)):
