@@ -2,7 +2,8 @@
 
 Primary results go to stdout, diagnostics to stderr.  Exit statuses:
 0 success, 1 verification failure found, 2 usage error, 3 input format
-error, 4 resource guard exceeded, 5 internal invariant violation.
+error, 4 resource guard exceeded, 5 internal invariant violation or any
+other unexpected error.
 """
 from __future__ import annotations
 
@@ -286,6 +287,9 @@ def run(argv: list[str], out=None, err=None) -> int:
     except ValueError as exc:
         print(f"facevec: usage error: {exc}", file=err)
         return EXIT_USAGE
+    except Exception as exc:  # last resort: one line and exit 5, never a traceback
+        print(f"facevec: internal error: {type(exc).__name__}: {exc}", file=err)
+        return EXIT_INVARIANT
 
 
 def main() -> None:

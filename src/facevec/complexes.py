@@ -128,13 +128,9 @@ def one_skeleton(c: Complex) -> graphs.Graph:
     """Underlying graph: all vertices, edges = two-element faces."""
     verts = c.vertices
     index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for facet in c.facets:
-        for u, w in combinations(facet, 2):
-            adj[index[u]] |= 1 << index[w]
-            adj[index[w]] |= 1 << index[u]
+    pairs = ((index[u], index[w]) for facet in c.facets for u, w in combinations(facet, 2))
     labels = None if verts == tuple(range(1, len(verts) + 1)) else verts
-    return graphs.Graph(n=len(verts), adj=tuple(adj), labels=labels)
+    return graphs.Graph(n=len(verts), adj=graphs._adjacency(len(verts), pairs), labels=labels)
 
 
 def is_flag(c: Complex, guard: int | None = None) -> bool:

@@ -169,8 +169,7 @@ class BalancedReport:
     margins: tuple[int, ...] = field(default=())  # ffk bound slack per level pair
 
 
-def construct_from_vector(cv: tuple[int, ...],
-                          guard: int | None = None) -> tuple[ColoredComplex, BalancedReport]:
+def construct_from_vector(cv: tuple[int, ...]) -> tuple[ColoredComplex, BalancedReport]:
     """Whole-vector construction from a clique vector alone.
 
     The output is a function of the vector, not of the graph it came from;
@@ -190,13 +189,13 @@ def construct_from_vector(cv: tuple[int, ...],
     report = BalancedReport(
         colors=r,
         clique_vec=cv,
-        face_vec=face_vector(cc.complex, guard),
+        face_vec=face_vector(cc.complex),
         margins=tuple(margins),
     )
     return cc, report
 
 
-def construct_balanced(g: Graph, guard: int | None = None) -> tuple[ColoredComplex, BalancedReport]:
+def construct_balanced(g: Graph) -> tuple[ColoredComplex, BalancedReport]:
     """Balanced complex whose face vector equals g's clique vector.
 
     With r the clique number, checks the colored shadow bound between every
@@ -205,4 +204,4 @@ def construct_balanced(g: Graph, guard: int | None = None) -> tuple[ColoredCompl
     equals the union of the per-pair complexes because every level is an
     initial segment of the same enumeration.
     """
-    return construct_from_vector(clique_vector(g, guard), guard)
+    return construct_from_vector(clique_vector(g))

@@ -9,12 +9,52 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, compress
 from math import comb
 
 from .errors import GuardExceeded, InputFormatError
 from .limits import EXHAUSTIVE_CAP, face_guard
 
 MASK_WIDTH_CAP = 64
+
+
+# ---------------------------------------------------------------------------
+# Adjacency codec: every decoder lists its edges as 0-based pairs (i, j) and
+# hands them to ``_adjacency``; the two bit orders are written once each.
+
+def _adjacency(n: int, pairs) -> tuple[int, ...]:
+    """Neighbor masks of the graph on vertices 0..n-1 whose edges are ``pairs``."""
+    adj = [0] * n
+    for i, j in pairs:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
+@lru_cache(maxsize=MASK_WIDTH_CAP + 1)  # the exhaustive sweep decodes per mask
+def _lex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Edge-mask bit order: bit t is the t-th pair in lexicographic order,
+    (0,1), (0,2), ..., (n-2,n-1), i.e. labels (1,2), (1,3), ..., (n-1,n)."""
+    return tuple(combinations(range(n), 2))
+
+
+def _graph6_pairs(n: int):
+    """graph6 bit order: column by column, (0,1), (0,2), (1,2), (0,3), ..."""
+    return ((i, j) for j in range(1, n) for i in range(j))
+
+
+def _mask_adjacency(n: int, mask: int) -> tuple[int, ...]:
+    """Neighbor masks of the graph whose edges are the set bits of ``mask``;
+    bits beyond the C(n, 2) pairs are ignored.  Walks the set bits only, as
+    the exhaustive sweep calls this once per graph."""
+    pairs, picked = _lex_pairs(n), []
+    mask &= (1 << len(pairs)) - 1
+    while mask:
+        low = mask & -mask
+        picked.append(pairs[low.bit_length() - 1])
+        mask ^= low
+    return _adjacency(n, picked)
 
 
 @dataclass(frozen=True)
@@ -48,16 +88,9 @@ class Graph:
         return self.labels if self.labels is not None else tuple(range(1, self.n + 1))
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            m = self.adj[i] >> (i + 1)
-            j = i + 1
-            while m:
-                if m & 1:
-                    out.append((self.label(i), self.label(j)))
-                m >>= 1
-                j += 1
-        return out
+        """Edges as label pairs, in edge-mask order."""
+        return [(self.label(i), self.label(j))
+                for i, j in _lex_pairs(self.n) if self.adj[i] >> j & 1]
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -66,39 +99,22 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj = [0] * n
+        edges = list(edges)
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
-        return cls(n=n, adj=tuple(adj))
+        return cls(n=n, adj=_adjacency(n, ((u - 1, v - 1) for u, v in edges)))
 
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
         """Graph whose edge set is the bits of ``mask`` over pairs in
         lexicographic order (1,2), (1,3), ..., (n-1,n)."""
-        adj = [0] * n
-        bit = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mask >> bit & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                bit += 1
-        return cls(n=n, adj=tuple(adj))
+        return cls(n=n, adj=_mask_adjacency(n, mask))
 
     def edge_mask(self) -> int:
-        mask = 0
-        bit = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.adj[i] >> j & 1:
-                    mask |= 1 << bit
-                bit += 1
-        return mask
+        return sum(1 << t for t, (i, j) in enumerate(_lex_pairs(self.n)) if self.adj[i] >> j & 1)
 
 
 def _clique_counts(adj: tuple[int, ...] | list[int], n: int, cap: int) -> list[int]:
@@ -204,13 +220,8 @@ def turan_graph(n: int, r: int) -> Graph:
     part_of = []
     for p, size in enumerate(turan_parts(n, r)):
         part_of.extend([p] * size)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if part_of[i] != part_of[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n=n, adj=tuple(adj))
+    cross = ((i, j) for i, j in _lex_pairs(n) if part_of[i] != part_of[j])
+    return Graph(n=n, adj=_adjacency(n, cross))
 
 
 def all_graphs(n: int):
@@ -275,7 +286,6 @@ def _parse_edge_list(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise InputFormatError(f"header declares {m} edges but {len(body)} lines follow")
-    adj = [0] * n
     seen: set[tuple[int, int]] = set()
     for line in body:
         tokens = line.split()
@@ -294,9 +304,7 @@ def _parse_edge_list(text: str) -> Graph:
             warnings.warn(f"duplicate edge {key} ignored", stacklevel=3)
             continue
         seen.add(key)
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
-    return Graph(n=n, adj=tuple(adj))
+    return Graph(n=n, adj=_adjacency(n, ((u - 1, v - 1) for u, v in seen)))
 
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -331,18 +339,8 @@ def _parse_graph6(text: str) -> Graph:
     need = (comb(n, 2) + 5) // 6
     if len(rest) != need:
         raise InputFormatError(f"graph6 body length {len(rest)}, expected {need} for n={n}")
-    bits = []
-    for x in rest:
-        bits.extend((x >> (5 - i)) & 1 for i in range(6))
-    adj = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
-    return Graph(n=n, adj=tuple(adj))
+    bits = [(x >> (5 - i)) & 1 for x in rest for i in range(6)]
+    return Graph(n=n, adj=_adjacency(n, compress(_graph6_pairs(n), bits)))
 
 
 def graph6_encode(g: Graph) -> str:
@@ -354,10 +352,7 @@ def graph6_encode(g: Graph) -> str:
         prefix = chr(n + 63)
     else:
         prefix = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(g.adj[i] >> j & 1)
+    bits = [g.adj[i] >> j & 1 for i, j in _graph6_pairs(n)]
     while len(bits) % 6:
         bits.append(0)
     chars = []

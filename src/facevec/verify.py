@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .complexes import (
@@ -23,7 +22,7 @@ from .complexes import (
 )
 from .construct import construct_from_vector
 from .errors import GuardExceeded
-from .graphs import Graph, clique_vector, graph6_encode, _clique_counts
+from .graphs import Graph, clique_vector, graph6_encode, _clique_counts, _mask_adjacency
 from .limits import CHROMATIC_CAP, EXHAUSTIVE_CAP, face_guard
 from .revlex import LevelSpec, colored_revlex_complex, revlex_complex
 
@@ -118,18 +117,10 @@ def iter_exhaustive_records(n: int):
     """
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive verification capped at n <= {EXHAUSTIVE_CAP}")
-    pairs = list(combinations(range(n), 2))
     cap = face_guard()
     cache: dict[tuple[int, ...], GraphRecord] = {}
     for mask in range(1 << comb(n, 2)):
-        adj = [0] * n
-        m = mask
-        for i, j in pairs:
-            if m & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            m >>= 1
-        cv = tuple(_clique_counts(adj, n, cap))
+        cv = tuple(_clique_counts(_mask_adjacency(n, mask), n, cap))
         proto = cache.get(cv)
         if proto is None:
             proto = _verified_record(cv, gid="")
@@ -160,16 +151,12 @@ def exhaustive_verify(n: int) -> VerificationReport:
 
 
 def random_graph(n: int, p: Fraction, key: str) -> Graph:
-    """Deterministic G(n, p) sample; ``key`` seeds a dedicated generator."""
+    """Deterministic G(n, p) sample; ``key`` seeds a dedicated generator,
+    whose t-th draw decides bit t of the edge mask."""
     rng = random.Random(key)
     num, den = p.numerator, p.denominator
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.randrange(den) < num:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n=n, adj=tuple(adj))
+    mask = sum(1 << t for t in range(comb(n, 2)) if rng.randrange(den) < num)
+    return Graph.from_edge_mask(n, mask)
 
 
 def iter_random_records(n: int, p, trials: int, seed: int):
@@ -182,7 +169,10 @@ def iter_random_records(n: int, p, trials: int, seed: int):
         raise ValueError(f"random verification capped at n <= {RANDOM_VERTEX_LIMIT}")
     if n < 0:
         raise ValueError(f"random verification needs n >= 0, got {n}")
-    p = Fraction(p)
+    try:
+        p = Fraction(p)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"edge probability must be a fraction like 1/2, got {p!r}") from None
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     for t in range(trials):
@@ -202,8 +192,7 @@ def random_verify(n: int, p, trials: int, seed: int) -> VerificationReport:
     )
 
 
-def oracle_face_count(spec: LevelSpec, colors: int | None = None,
-                      guard: int | None = None) -> tuple[int, ...]:
+def oracle_face_count(spec: LevelSpec, colors: int | None = None) -> tuple[int, ...]:
     """Face vector of the (colored) rev-lex complex by full closure.
 
     Entirely independent of the canonical-representation bound formulas; this
@@ -213,4 +202,4 @@ def oracle_face_count(spec: LevelSpec, colors: int | None = None,
         cx = revlex_complex(spec)
     else:
         cx = colored_revlex_complex(spec, colors).complex
-    return face_vector(cx, guard)
+    return face_vector(cx)

@@ -103,6 +103,21 @@ def turan_edges_roundrobin(n, r):
     ]
 
 
+def edge_mask_pairs(n):
+    """Edge-mask bit order spelled out: bit t is the t-th pair of
+    (1,2), (1,3), ..., (1,n), (2,3), ..., (n-1,n)."""
+    pairs = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            pairs.append((u, v))
+    return pairs
+
+
+def decode_edge_mask(n, mask):
+    """Edges named by the set bits of an edge mask, in bit order."""
+    return [pair for t, pair in enumerate(edge_mask_pairs(n)) if mask >> t & 1]
+
+
 def decode_graph6(line):
     """Straightforward graph6 decoder, small sizes only."""
     data = [ord(ch) - 63 for ch in line]

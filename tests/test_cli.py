@@ -220,6 +220,24 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "facevec: usage error: random verification needs n >= 0, got -3\n"
 
+    def test_usage_error_zero_denominator_probability(self):
+        code, out, err = invoke(["verify", "--random", "5", "1/0", "1", "1"])
+        assert code == 2 and out == ""
+        assert err == (
+            "facevec: usage error: edge probability must be a fraction like 1/2, got '1/0'\n"
+        )
+
+    def test_unexpected_exception_exit_is_five(self, monkeypatch):
+        import facevec.cli as cli_mod
+
+        def boom(args, out):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_mod, "_cmd_kk_bound", boom)
+        code, out, err = invoke(["kk-bound", "--m", "99", "--k", "3"])
+        assert code == 5 and out == ""
+        assert err == "facevec: internal error: RuntimeError: boom\n"
+
     def test_guard_exit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FACEVEC_GUARD", "40")
         big = tmp_path / "k8.edges"

@@ -20,6 +20,7 @@ from facevec import (
     remove_vertices,
 )
 from facevec.complexes import vec_entry
+from facevec.errors import GuardExceeded
 
 from conftest import complete_graph
 
@@ -208,3 +209,13 @@ class TestConstructBalanced:
         cc_b, rep_b = construct_from_vector(clique_vector(petersen))
         assert cc_a == cc_b
         assert rep_a == rep_b
+
+    def test_face_guard_alone_governs_the_build(self, monkeypatch):
+        # the pentagon's twin has 1 + 5 + 5 faces; no argument raises the cap
+        monkeypatch.setenv("FACEVEC_GUARD", "10")
+        with pytest.raises(GuardExceeded):
+            construct_from_vector((1, 5, 5))
+        with pytest.raises(TypeError):
+            construct_from_vector((1, 5, 5), guard=1000)
+        monkeypatch.setenv("FACEVEC_GUARD", "11")
+        assert construct_from_vector((1, 5, 5))[1].face_vec == (1, 5, 5)

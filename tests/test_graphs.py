@@ -22,7 +22,7 @@ from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded, InputFormatError
 
 from conftest import complete_graph
-from oracles import brute_cliques_by_size, decode_graph6
+from oracles import brute_cliques_by_size, decode_edge_mask, decode_graph6, edge_mask_pairs
 
 
 class TestParseEdgeList:
@@ -94,6 +94,45 @@ class TestParseGraph6:
                 assert n2 == n
                 assert sorted(edges) == sorted(g.edges())
                 assert parse_graph(line) == g
+
+
+    def test_differential_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(20261018)
+        # every n up to the cap; n >= 63 takes graph6's 4-byte size form
+        for n in range(0, 65):
+            p = rng.random()
+            edges = [e for e in edge_mask_pairs(n) if rng.random() < p]
+            g = Graph.from_edges(n, edges)
+            ref = nx.Graph()
+            ref.add_nodes_from(range(n))
+            ref.add_edges_from((u - 1, v - 1) for u, v in edges)
+            line = nx.to_graph6_bytes(ref, header=False).decode().strip()
+            assert graph6_encode(g) == line
+            assert parse_graph(line) == g
+            back = nx.from_graph6_bytes(graph6_encode(g).encode())
+            assert back.number_of_nodes() == n
+            assert sorted(tuple(sorted((u + 1, v + 1))) for u, v in back.edges()) == edges
+
+
+class TestEdgeMaskCodec:
+    def test_against_explicit_pair_list(self):
+        rng = random.Random(20261018)
+        for n in range(0, 12):
+            pairs = edge_mask_pairs(n)
+            for t, pair in enumerate(pairs):
+                assert Graph.from_edge_mask(n, 1 << t).edges() == [pair]
+            for _ in range(30):
+                mask = rng.randrange(1 << len(pairs))
+                edges = decode_edge_mask(n, mask)
+                g = Graph.from_edge_mask(n, mask)
+                assert g.edges() == edges
+                assert g.edge_mask() == mask
+                assert g.edge_count() == len(edges)
+                assert Graph.from_edges(n, edges) == g
+                # bits beyond the C(n, 2) pairs name no edge
+                high = rng.randrange(1, 256) << len(pairs)
+                assert Graph.from_edge_mask(n, mask | high) == g
 
 
 class TestCliqueVector:

@@ -5,6 +5,7 @@ import pytest
 from facevec import (
     Graph,
     LevelSpec,
+    clique_vector,
     exhaustive_verify,
     ffk_bound,
     kk_shadow_bound,
@@ -16,6 +17,7 @@ from facevec.complexes import vec_entry
 from facevec.verify import iter_exhaustive_records, random_graph
 
 from conftest import complete_graph
+from oracles import brute_cliques_by_size, decode_edge_mask
 
 
 class TestVerifyGraph:
@@ -64,6 +66,12 @@ class TestExhaustive:
         # replay: the id names the graph that produced the record
         g = Graph.from_edge_mask(3, 5)
         assert verify_graph(g).clique_vec == records[5].clique_vec
+
+    def test_every_record_matches_its_own_mask(self):
+        for mask, rec in enumerate(iter_exhaustive_records(5)):
+            assert rec.graph_id == f"mask:5:{mask}"
+            assert rec.clique_vec == clique_vector(Graph.from_edge_mask(5, mask))
+            assert rec.clique_vec == brute_cliques_by_size(5, decode_edge_mask(5, mask))
 
     def test_cap(self):
         with pytest.raises(ValueError):
