@@ -13,11 +13,11 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .combinat import CanonicalRep, ffk_canonical, kk_canonical
-from .complexes import ColoredComplex, face_vector
+from .complexes import ColoredComplex, complex_and_face_vector, face_vector
 from .construct import ConstructionTrace, construct_balanced, construct_pair
 from .errors import GuardExceeded, InputFormatError, InvariantViolation
 from .graphs import clique_number, clique_vector, parse_graph
-from .revlex import LevelSpec, colored_revlex_complex, revlex_complex, revlex_key
+from .revlex import LevelSpec, residue_colored, revlex_faces, revlex_key
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -128,18 +128,14 @@ def _cmd_canonical(args, out) -> int:
 
 
 def _cmd_revlex(args, out) -> int:
-    spec = LevelSpec.parse(args.levels)
-    if args.colors is None:
-        cx = revlex_complex(spec)
-        print(f"face-vector {_vec_line(face_vector(cx))}", file=out)
-        if args.emit_faces:
+    cx, vec = complex_and_face_vector(revlex_faces(LevelSpec.parse(args.levels), args.colors))
+    print(f"face-vector {_vec_line(vec)}", file=out)
+    if args.emit_faces:
+        if args.colors is None:
             for facet in _sorted_facets(cx.facets):
                 print("facet " + " ".join(str(v) for v in facet), file=out)
-    else:
-        cc = colored_revlex_complex(spec, args.colors)
-        print(f"face-vector {_vec_line(face_vector(cc.complex))}", file=out)
-        if args.emit_faces:
-            _print_complex(cc, out)
+        else:
+            _print_complex(residue_colored(cx, args.colors), out)
     return EXIT_OK
 
 

@@ -114,6 +114,16 @@ def face_vector(c: Complex, guard: int | None = None) -> FaceVector:
     return tuple(map(len, _close(c.facets, 0, face_guard() if guard is None else guard)[1]))
 
 
+def complex_and_face_vector(faces) -> tuple[Complex, FaceVector]:
+    """``Complex.from_faces(faces)`` and its ``face_vector``, from one walk.
+
+    The walk goes down to the empty face, so the vector is the brute-force
+    count of the closure of ``faces``, under the face guard.
+    """
+    facets, levels = _close([validate_face(f) for f in faces], 0, face_guard())
+    return Complex(frozenset(facets)), tuple(map(len, levels))
+
+
 def link(c: Complex, face: Face) -> Complex:
     """Complex of faces disjoint from ``face`` whose union with it is a face."""
     face = validate_face(face)

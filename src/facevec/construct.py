@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .combinat import ffk_bound
-from .complexes import ColoredComplex, Complex, Face, _close, face_vector, vec_entry
+from .complexes import ColoredComplex, Complex, Face, _close, complex_and_face_vector, vec_entry
 from .errors import InvariantViolation
 from .graphs import Graph, clique_vector, graph_link, remove_vertices
 from .limits import face_guard
-from .revlex import LevelSpec, colored_revlex_complex, first_permissible_ksets
+from .revlex import (LevelSpec, colored_revlex_complex, first_permissible_ksets, residue_colored,
+                     revlex_faces)
 
 
 @dataclass(frozen=True)
@@ -182,17 +183,10 @@ def construct_from_vector(cv: tuple[int, ...]) -> tuple[ColoredComplex, Balanced
         if slack < 0:
             raise InvariantViolation(f"clique vector {cv} violates the colored bound at level {i}")
         margins.append(slack)
-    if r == 0:
-        cc = ColoredComplex(complex=Complex.from_faces([()]), colors=0, coloring={})
-    else:
-        cc = colored_revlex_complex(LevelSpec.of(*((i, cv[i]) for i in range(1, r + 1))), r)
-    report = BalancedReport(
-        colors=r,
-        clique_vec=cv,
-        face_vec=face_vector(cc.complex),
-        margins=tuple(margins),
-    )
-    return cc, report
+    faces = revlex_faces(LevelSpec.of(*((i, cv[i]) for i in range(1, r + 1))), r) if r else [()]
+    cx, face_vec = complex_and_face_vector(faces)
+    report = BalancedReport(colors=r, clique_vec=cv, face_vec=face_vec, margins=tuple(margins))
+    return residue_colored(cx, r), report
 
 
 def construct_balanced(g: Graph) -> tuple[ColoredComplex, BalancedReport]:

@@ -314,6 +314,8 @@ def _parse_graph6(text: str) -> Graph:
     lines = _content_lines(text)
     if not lines:
         raise InputFormatError("empty graph6 input")
+    if len(lines) > 1:
+        raise InputFormatError(f"graph6 input holds {len(lines)} lines; give one graph per input")
     line = lines[0]
     if line.startswith(GRAPH6_HEADER):
         line = line[len(GRAPH6_HEADER):]

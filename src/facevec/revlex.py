@@ -2,14 +2,19 @@
 
 A set A precedes B (|A| = |B|) when the largest element of their symmetric
 difference lies in B; equivalently, reversed tuples compare lexicographically.
-Enumeration is successor-based; rank/unrank via the combinatorial number
-system is kept alongside as an independent cross-check for the uncolored
-order.
+Plain k-sets are enumerated by successor (``next_kset``).  Permissible
+k-sets come from a nested walk in the same order that never builds a set it
+rejects: the sets are grouped by their largest element, and each group is
+the smaller sets below it whose residues avoid the ones already taken.
+Rank/unrank via the combinatorial number system is kept alongside as an
+independent cross-check for the uncolored order.
 """
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count, islice
 from math import comb
 
 from .complexes import ColoredComplex, Complex, Face
@@ -66,33 +71,62 @@ def is_permissible(face: Face, r: int) -> bool:
     return len({v % r for v in face}) == len(face)
 
 
-def next_permissible_kset(face: Face, r: int) -> Face:
-    """Next r-permissible k-set after ``face`` in rev-lex order."""
-    nxt = next_kset(face)
-    while not is_permissible(nxt, r):
-        nxt = next_kset(nxt)
-    return nxt
+def _successors(k: int) -> Iterator[Face]:
+    """Every k-set in rev-lex order, one ``next_kset`` step at a time."""
+    face = tuple(range(1, k + 1))
+    while True:
+        yield face
+        face = next_kset(face)
+
+
+def _permissible_walk(k: int, r: int) -> Iterator[Face]:
+    """Every r-permissible k-set in rev-lex order, with no set rejected.
+
+    Rev-lex order is nested: the sets come grouped by their largest element
+    ``top``, rising from k, and the group of ``top`` is the (j-1)-sets below
+    it, in the same order, whose residues mod r avoid the bitmask ``used`` of
+    the residues taken above.  A branch is entered only when the values below
+    its top still hold as many free residues as elements are needed, so every
+    branch yields and each set costs O(k) amortised.
+    """
+    full = (1 << r) - 1
+
+    def below(j: int, tops, used: int, suffix: Face) -> Iterator[Face]:
+        for top in tops:
+            bit = 1 << top % r
+            if used & bit:
+                continue
+            if j == 1:
+                yield (top,) + suffix
+                continue
+            used_here = used | bit
+            # The residues of 1..top-1: all r once top > r, else 1..top-1.
+            free = (full if top > r else (1 << top) - 2) & ~used_here
+            if free.bit_count() >= j - 1:
+                yield from below(j - 1, range(j - 1, top), used_here, (top,) + suffix)
+
+    return below(k, count(k), 0, ())
 
 
 # Initial segments are append-only and shared: segment (k, r)[i] is the
-# (i+1)-th (r-permissible) k-set, r = None meaning no color constraint.
-# Growth happens behind a lock; readers only ever slice a stable prefix.
-_segments: dict[tuple[int, int | None], list[Face]] = {}
+# (i+1)-th (r-permissible) k-set, r = None meaning no color constraint, and
+# the walk next to it resumes where the list ends.  Growth happens behind a
+# lock (a generator cannot be advanced by two threads at once); readers only
+# ever slice a stable prefix.
+_segments: dict[tuple[int, int | None], tuple[list[Face], Iterator[Face]]] = {}
 _segment_lock = threading.Lock()
 
 
 def _segment(m: int, k: int, r: int | None) -> list[Face]:
     if m == 0:
         return []
-    seg = _segments.setdefault((k, r), [])
-    if len(seg) < m:
+    entry = _segments.get((k, r))
+    if entry is None or len(entry[0]) < m:
         with _segment_lock:
-            if not seg:
-                seg.append(tuple(range(1, k + 1)))
-            while len(seg) < m:
-                prev = seg[-1]
-                seg.append(next_kset(prev) if r is None else next_permissible_kset(prev, r))
-    return seg[:m]
+            seg, walk = _segments.setdefault(
+                (k, r), ([], _successors(k) if r is None else _permissible_walk(k, r)))
+            seg.extend(islice(walk, max(0, m - len(seg))))
+    return _segments[k, r][0][:m]
 
 
 def first_ksets(m: int, k: int) -> list[Face]:
@@ -159,17 +193,33 @@ class LevelSpec:
             raise InputFormatError(str(exc)) from None
 
 
-def _union(spec: LevelSpec, colors: int | None) -> Complex:
-    """Union of the requested initial segments; refused before enumerating when
-    the empty face plus the requested faces (all distinct) pass the guard."""
+def revlex_faces(spec: LevelSpec, colors: int | None = None) -> list[Face]:
+    """The requested initial segments, r-permissible ones when ``colors`` is r.
+
+    Gives [()] when every count is 0, so the complex they generate is never
+    the void one.  Refused before enumerating when the empty face plus the
+    requested faces (all distinct) pass the guard.
+    """
+    if colors is not None and colors < 1:
+        raise ValueError("need at least one color")
     cap = face_guard()
-    if 1 + sum(count for _, count in spec.entries) > cap:
+    if 1 + sum(m for _, m in spec.entries) > cap:
         raise GuardExceeded(f"requested levels exceed the face cap {cap}")
-    facets: list[Face] = []
-    for size, count in spec.entries:
-        facets.extend(first_ksets(count, size) if colors is None
-                      else first_permissible_ksets(count, size, colors))
-    return Complex.from_faces(facets if facets else [()])
+    faces: list[Face] = []
+    for size, m in spec.entries:
+        faces.extend(first_ksets(m, size) if colors is None
+                     else first_permissible_ksets(m, size, colors))
+    return faces or [()]
+
+
+def residue_colored(cx: Complex, colors: int) -> ColoredComplex:
+    """``cx`` with vertex v colored ((v - 1) mod colors) + 1.
+
+    Permissible faces never repeat a residue, so on a complex built from
+    them the coloring is proper by construction.
+    """
+    coloring = {v: (v - 1) % colors + 1 for v in cx.vertices}
+    return ColoredComplex(complex=cx, colors=colors, coloring=coloring)
 
 
 def revlex_complex(spec: LevelSpec) -> Complex:
@@ -179,17 +229,9 @@ def revlex_complex(spec: LevelSpec) -> Complex:
     exactly the requested number of faces at each level; this function builds
     the complex either way and leaves exactness to its callers.
     """
-    return _union(spec, None)
+    return Complex.from_faces(revlex_faces(spec))
 
 
 def colored_revlex_complex(spec: LevelSpec, colors: int) -> ColoredComplex:
-    """Union of permissible initial segments, colored by label residue.
-
-    Vertex v gets color ((v - 1) mod colors) + 1; permissible faces never
-    repeat a residue, so the coloring is proper by construction.
-    """
-    if colors < 1:
-        raise ValueError("need at least one color")
-    cx = _union(spec, colors)
-    coloring = {v: (v - 1) % colors + 1 for v in cx.vertices}
-    return ColoredComplex(complex=cx, colors=colors, coloring=coloring)
+    """Union of permissible initial segments, colored by label residue."""
+    return residue_colored(Complex.from_faces(revlex_faces(spec, colors)), colors)

@@ -68,6 +68,23 @@ def permissible_ksets(m, k, r, universe=None):
     return found[:m]
 
 
+def rejection_permissible_ksets(m, k, r):
+    """First m r-permissible k-sets by rejection: step through every k-set in
+    rev-lex order and keep those whose residues mod r are distinct."""
+    out = []
+    face = list(range(1, k + 1))
+    while len(out) < m:
+        if len({v % r for v in face}) == k:
+            out.append(tuple(face))
+        # rev-lex successor: raise the lowest element that can rise, reset the ones below
+        i = 0
+        while i + 1 < k and face[i] + 1 == face[i + 1]:
+            i += 1
+        face[i] += 1
+        face[:i] = range(1, i + 1)
+    return out
+
+
 def brute_cliques_by_size(n, edges):
     """Clique counts per size by testing every vertex subset."""
     es = {tuple(sorted(e)) for e in edges}

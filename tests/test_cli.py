@@ -177,6 +177,34 @@ class TestVerifyCommand:
         code, out, _ = invoke(["cliquevec", "-"])
         assert code == 0 and out == "1 5 5\n"
 
+    def test_graph6_stdin_holds_one_graph(self, monkeypatch):
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("# a comment\nD?{\n\n"))
+        assert invoke(["verify", "-"]) == (0, "graphs 1 pass 1 fail 0\n", "")
+        for command in (["verify", "-"], ["cliquevec", "-"]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO("D?{\nDQc\n"))
+            code, out, err = invoke(command)
+            assert code == 3 and out == ""
+            assert err.startswith("facevec: input error:") and err.count("\n") == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_help(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import facevec
+
+        src = str(Path(facevec.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "facevec", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: facevec")
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self):

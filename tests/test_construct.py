@@ -23,6 +23,7 @@ from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded
 
 from conftest import complete_graph
+from oracles import brute_closure, brute_face_vector
 
 
 def assert_pair_contract(g, r, k):
@@ -209,6 +210,15 @@ class TestConstructBalanced:
         cc_b, rep_b = construct_from_vector(clique_vector(petersen))
         assert cc_a == cc_b
         assert rep_a == rep_b
+
+    def test_face_vector_is_one_recount_of_the_built_complex(self):
+        rng = random.Random(6006)
+        for _ in range(40):
+            n = rng.randrange(0, 11)
+            g = Graph.from_edge_mask(n, rng.randrange(1 << comb(n, 2)))
+            cc, report = construct_from_vector(clique_vector(g))
+            assert report.face_vec == face_vector(cc.complex)
+            assert report.face_vec == brute_face_vector(brute_closure(cc.complex.facets))
 
     def test_face_guard_alone_governs_the_build(self, monkeypatch):
         # the pentagon's twin has 1 + 5 + 5 faces; no argument raises the cap
