@@ -44,9 +44,7 @@ from .graphs import (
     clique_vector,
     cliques,
     graph6_encode,
-    graph_link,
     parse_graph,
-    remove_vertices,
     turan_graph,
 )
 from .revlex import (
@@ -106,7 +104,6 @@ __all__ = [
     "first_ksets",
     "first_permissible_ksets",
     "graph6_encode",
-    "graph_link",
     "is_balanced",
     "is_flag",
     "is_permissible",
@@ -120,7 +117,6 @@ __all__ = [
     "oracle_face_count",
     "parse_graph",
     "random_verify",
-    "remove_vertices",
     "revlex_compare",
     "revlex_complex",
     "revlex_key",

@@ -13,10 +13,10 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .combinat import CanonicalRep, ffk_canonical, kk_canonical
-from .complexes import ColoredComplex, complex_and_face_vector, face_vector
+from .complexes import ColoredComplex, complex_and_face_vector, face_vector, vec_entry
 from .construct import ConstructionTrace, construct_balanced, construct_pair
 from .errors import GuardExceeded, InputFormatError, InvariantViolation
-from .graphs import clique_number, clique_vector, parse_graph
+from .graphs import clique_vector, parse_graph
 from .revlex import LevelSpec, residue_colored, revlex_faces, revlex_key
 
 EXIT_OK = 0
@@ -153,16 +153,12 @@ def _cmd_construct(args, out) -> int:
 
 def _cmd_construct_pair(args, out) -> int:
     g = _load_graph(args)
-    r = args.r if args.r is not None else max(clique_number(g), 1)
-    cc, trace = construct_pair(g, r, args.k)
     cv = clique_vector(g)
-    targets = (
-        cv[args.k] if args.k < len(cv) else 0,
-        cv[args.k + 1] if args.k + 1 < len(cv) else 0,
-    )
+    r = args.r if args.r is not None else max(len(cv) - 1, 1)
+    cc, trace = construct_pair(g, r, args.k)
     print(f"colors {r}", file=out)
     print(f"k {args.k}", file=out)
-    print(f"targets {targets[0]} {targets[1]}", file=out)
+    print(f"targets {vec_entry(cv, args.k)} {vec_entry(cv, args.k + 1)}", file=out)
     print(f"face-vector {_vec_line(face_vector(cc.complex))}", file=out)
     _print_complex(cc, out)
     if args.trace:

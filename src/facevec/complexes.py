@@ -104,14 +104,14 @@ def _close(faces, floor: int, cap: int) -> tuple[set[Face], list[set[Face]]]:
     return facets, levels[:-1]
 
 
-def closure(c: Complex, guard: int | None = None) -> set[Face]:
+def closure(c: Complex) -> set[Face]:
     """Materialize every face of the complex, empty face included."""
-    return set().union(*_close(c.facets, 0, face_guard() if guard is None else guard)[1])
+    return set().union(*_close(c.facets, 0, face_guard())[1])
 
 
-def face_vector(c: Complex, guard: int | None = None) -> FaceVector:
+def face_vector(c: Complex) -> FaceVector:
     """Exact face counts (c_0, c_1, ..., c_d) of the closure; () when empty."""
-    return tuple(map(len, _close(c.facets, 0, face_guard() if guard is None else guard)[1]))
+    return tuple(map(len, _close(c.facets, 0, face_guard())[1]))
 
 
 def complex_and_face_vector(faces) -> tuple[Complex, FaceVector]:
@@ -143,13 +143,13 @@ def one_skeleton(c: Complex) -> graphs.Graph:
     return graphs.Graph(n=len(verts), adj=graphs._adjacency(len(verts), pairs), labels=labels)
 
 
-def is_flag(c: Complex, guard: int | None = None) -> bool:
+def is_flag(c: Complex) -> bool:
     """True iff the complex equals the clique complex of its own 1-skeleton."""
-    faces = closure(c, guard)
+    faces = closure(c)
     if not faces:
         return True
     skel = one_skeleton(c)
-    clique_faces = set(graphs.cliques(skel, guard))
+    clique_faces = set(graphs.cliques(skel))
     return faces == clique_faces
 
 

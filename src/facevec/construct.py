@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .combinat import ffk_bound
-from .complexes import ColoredComplex, Complex, Face, _close, complex_and_face_vector, vec_entry
+from .complexes import ColoredComplex, Complex, _close, complex_and_face_vector, vec_entry
 from .errors import InvariantViolation
-from .graphs import Graph, clique_vector, graph_link, remove_vertices
+from .graphs import Graph, _clique_counts, clique_vector
 from .limits import face_guard
-from .revlex import (LevelSpec, colored_revlex_complex, first_permissible_ksets, residue_colored,
-                     revlex_faces)
+from .revlex import LevelSpec, first_permissible_ksets, residue_colored, revlex_faces
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,8 @@ def construct_pair(g: Graph, r: int, k: int) -> tuple[ColoredComplex, Constructi
     non-neighbors one at a time, realize the pivot link's counts as a colored
     rev-lex complex on r-1 colors, then cone one fresh color-r vertex per
     peeled vertex over an initial segment sized by that vertex's link counts.
+    Only the top level is realized; the levels below it are audited through
+    their traces alone.
     """
     if r < 1:
         raise ValueError("need a positive color budget")
@@ -59,58 +60,71 @@ def construct_pair(g: Graph, r: int, k: int) -> tuple[ColoredComplex, Constructi
     cv = clique_vector(g)
     if vec_entry(cv, r + 1) > 0:
         raise ValueError(f"graph has a clique on {r + 1} vertices; budget {r} infeasible")
-    return _pair(g, cv, r, k)
+    trace = _trace(g, (1 << g.n) - 1, cv, r, k)
+
+    # The base is the rev-lex complex of the trace's levels, residue-colored
+    # on r-1 colors under a cone; each step's fresh color-r vertex is coned
+    # over initial segments of the base's own levels.
+    base_colors = r - 1 if trace.kind == "cone" else r
+    faces = revlex_faces(LevelSpec(trace.base_levels), base_colors)
+    for step in trace.steps:
+        cone_base = [()] + first_permissible_ksets(step.a, k, base_colors)
+        if k >= 2:
+            cone_base += first_permissible_ksets(step.b, k - 1, base_colors)
+        faces += [f + (step.added_vertex,) for f in cone_base]
+    cx = Complex.from_faces(faces)
+    added = {step.added_vertex for step in trace.steps}
+    coloring = {v: r if v in added else (v - 1) % base_colors + 1 for v in cx.vertices}
+    return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace
 
 
-def _pair(g: Graph, cv: tuple[int, ...], r: int, k: int) -> tuple[ColoredComplex, ConstructionTrace]:
+def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int], r: int,
+           k: int) -> ConstructionTrace:
+    """Trace of the pair construction on the subgraph of g induced by the
+    vertex mask ``within``, whose clique counts are ``cv``."""
     ck, ck1 = vec_entry(cv, k), vec_entry(cv, k + 1)
-
     if k == 0:
-        levels = LevelSpec.of((1, vec_entry(cv, 1)))
-        cc = colored_revlex_complex(levels, r)
-        return cc, ConstructionTrace(kind="vertices", k=0, colors=r, base_levels=levels.entries)
-
+        return ConstructionTrace(kind="vertices", k=0, colors=r,
+                                 base_levels=((1, vec_entry(cv, 1)),))
     if ck1 == 0:
-        levels = LevelSpec.of((k, ck))
-        cc = colored_revlex_complex(levels, r)
-        return cc, ConstructionTrace(kind="flat", k=k, colors=r, base_levels=levels.entries)
+        return ConstructionTrace(kind="flat", k=k, colors=r, base_levels=((k, ck),))
 
     # Pivot: the vertex in the most (k+1)-cliques, i.e. whose link has the
-    # most k-cliques; ties go to the lowest label for reproducibility.
-    labels = g.vertex_labels
-    link_count = {v: vec_entry(clique_vector(graph_link(g, v)), k) for v in labels}
-    v0 = min(labels, key=lambda v: (-link_count[v], v))
-    if link_count[v0] == 0:
+    # most k-cliques; ties go to the lowest label (labels ascend with bits).
+    cap = face_guard()
+    adj = g.adj
+    vertices = [i for i in range(g.n) if within >> i & 1]
+    link_count = {i: vec_entry(_clique_counts(adj, adj[i] & within, cap), k) for i in vertices}
+    i0 = min(vertices, key=lambda i: (-link_count[i], i))
+    if link_count[i0] == 0:
         raise InvariantViolation("pivot lies in no (k+1)-clique despite c_{k+1} > 0")
-    i0 = g.index_of(v0)
-    non_neighbors = [v for v in labels if v != v0 and not g.adj[i0] >> g.index_of(v) & 1]
+    non_neighbors = [i for i in vertices if i != i0 and not adj[i0] >> i & 1]
 
     # Peel v_0, v_1, ..., v_s, recording each peeled vertex's link counts.
     steps: list[tuple[int, int, int]] = []
-    current = g
-    for v in [v0] + non_neighbors:
-        lv = clique_vector(graph_link(current, v))
-        steps.append((v, vec_entry(lv, k), vec_entry(lv, k - 1)))
-        current = remove_vertices(current, [v])
+    current = within
+    for i in [i0] + non_neighbors:
+        lv = _clique_counts(adj, adj[i] & current, cap)
+        steps.append((g.label(i), vec_entry(lv, k), vec_entry(lv, k - 1)))
+        current &= ~(1 << i)
 
-    link_graph = current  # = the link of v0 in g
-    link_cv = clique_vector(link_graph)
+    # What survives the peeling is the link of v_0.
+    link_cv = _clique_counts(adj, current, cap)
     ck_link, ck1_link = vec_entry(link_cv, k), vec_entry(link_cv, k + 1)
     if ck1_link >= ck1:
         raise InvariantViolation("peeling failed to reduce the (k+1)-face count")
 
-    # Inner induction on the (k+1)-count; its complex is discarded, the
-    # trace is what makes the recursion auditable.
-    _, sub_trace = _pair(link_graph, link_cv, r - 1, k)
+    # Inner induction on the (k+1)-count, over the link's mask.
+    sub = _trace(g, current, link_cv, r - 1, k)
 
-    # Base complex: the link's counts at (k, k+1), with the (k-1)-level padded
+    # Base levels: the link's counts at (k, k+1), with the (k-1)-level padded
     # up to cover both the forced shadow and every b_i <= c_{k-1}(g).
     entries: list[tuple[int, int]] = []
     pad = 0
     if k >= 2:
         segments = first_permissible_ksets(ck_link, k, r - 1)
         segments += first_permissible_ksets(ck1_link, k + 1, r - 1)
-        _, shadow = _close(segments, k - 1, face_guard())
+        _, shadow = _close(segments, k - 1, cap)
         pad = max(vec_entry(cv, k - 1), len(shadow[k - 1]))
         entries.append((k - 1, pad))
         if ffk_bound(pad, k - 1, r - 1) < ck_link:
@@ -120,11 +134,10 @@ def _pair(g: Graph, cv: tuple[int, ...], r: int, k: int) -> tuple[ColoredComplex
     if ffk_bound(ck_link, k, r - 1) < ck1_link:
         raise InvariantViolation("link counts violate the colored shadow bound")
     levels = LevelSpec.of(*entries)
-    base = colored_revlex_complex(levels, r - 1)
 
-    # Cone one fresh color-r vertex per peeled vertex, latest peel first.
-    facets: set[Face] = set(base.complex.facets)
-    fresh = max((v for f in base.complex.facets for v in f), default=0)
+    # One fresh color-r vertex per peeled vertex, latest peel first, above
+    # the base's largest vertex.
+    fresh = max((f[-1] for f in revlex_faces(levels, r - 1) if f), default=0)
     recorded: list[TraceStep] = [TraceStep(0, 0, 0)] * len(steps)
     for i in range(len(steps) - 1, -1, -1):
         v, a, b = steps[i]
@@ -136,28 +149,18 @@ def _pair(g: Graph, cv: tuple[int, ...], r: int, k: int) -> tuple[ColoredComplex
             if ffk_bound(b, k - 1, r - 1) < a:
                 raise InvariantViolation(f"step counts ({a}, {b}) violate the colored bound")
         fresh += 1
-        cone_base: list[Face] = [()]
-        cone_base += first_permissible_ksets(a, k, r - 1)
-        if k >= 2:
-            cone_base += first_permissible_ksets(b, k - 1, r - 1)
-        facets.update(f + (fresh,) for f in cone_base)
         recorded[i] = TraceStep(vertex=v, a=a, b=b, added_vertex=fresh)
 
-    cx = Complex.from_faces(facets)
-    coloring = dict(base.coloring)
-    for step in recorded:
-        coloring[step.added_vertex] = r
-    trace = ConstructionTrace(
+    return ConstructionTrace(
         kind="cone",
         k=k,
         colors=r,
         base_levels=levels.entries,
-        pivot=v0,
-        non_neighbors=tuple(non_neighbors),
+        pivot=g.label(i0),
+        non_neighbors=tuple(g.label(i) for i in non_neighbors),
         steps=tuple(recorded),
-        sub=sub_trace,
+        sub=sub,
     )
-    return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Clique enumeration is the workhorse: counts by size via recursive extension
 over candidate masks, never storing the cliques unless faces are requested.
-Graphs produced from other graphs (links, induced subgraphs) retain a label
-map back to the original vertex names.
+A subgraph is a vertex mask over its graph (a link is ``adj[i] & mask``), so
+nothing is ever copied or relabelled; a graph carries a label map only when it
+comes from vertex names that are not 1..n, as a complex's 1-skeleton does.
 """
 from __future__ import annotations
 
@@ -73,16 +74,6 @@ class Graph:
     def label(self, i: int) -> int:
         return self.labels[i] if self.labels is not None else i + 1
 
-    def index_of(self, label: int) -> int:
-        if self.labels is None:
-            if not 1 <= label <= self.n:
-                raise ValueError(f"vertex {label} not in graph on labels 1..{self.n}")
-            return label - 1
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"vertex {label} not in graph with labels {self.labels}") from None
-
     @property
     def vertex_labels(self) -> tuple[int, ...]:
         return self.labels if self.labels is not None else tuple(range(1, self.n + 1))
@@ -117,13 +108,14 @@ class Graph:
         return sum(1 << t for t, (i, j) in enumerate(_lex_pairs(self.n)) if self.adj[i] >> j & 1)
 
 
-def _clique_counts(adj: tuple[int, ...] | list[int], n: int, cap: int) -> list[int]:
-    """Counts of cliques by size, c_0 = 1; recursive extension on bitmasks."""
-    counts = [0] * (n + 1)
+def _clique_counts(adj: tuple[int, ...] | list[int], within: int, cap: int) -> list[int]:
+    """Counts of the cliques among the vertices of the mask ``within`` by size,
+    c_0 = 1; recursive extension on bitmasks."""
+    counts = [0] * (within.bit_count() + 1)
     counts[0] = 1
     total = 1
-    if n:
-        stack = [((1 << n) - 1, 0)]
+    if within:
+        stack = [(within, 0)]
         while stack:
             cand, size = stack.pop()
             nxt_size = size + 1
@@ -142,20 +134,19 @@ def _clique_counts(adj: tuple[int, ...] | list[int], n: int, cap: int) -> list[i
     return counts
 
 
-def clique_vector(g: Graph, guard: int | None = None) -> tuple[int, ...]:
+def clique_vector(g: Graph) -> tuple[int, ...]:
     """Face vector of the clique complex: c_i counts the i-vertex cliques."""
-    cap = face_guard() if guard is None else guard
-    return tuple(_clique_counts(g.adj, g.n, cap))
+    return tuple(_clique_counts(g.adj, (1 << g.n) - 1, face_guard()))
 
 
-def clique_number(g: Graph, guard: int | None = None) -> int:
+def clique_number(g: Graph) -> int:
     """Number of vertices in a largest clique; 0 for the empty graph."""
-    return len(clique_vector(g, guard)) - 1
+    return len(clique_vector(g)) - 1
 
 
-def cliques(g: Graph, guard: int | None = None):
+def cliques(g: Graph):
     """Yield every clique as an ascending label tuple, the empty one included."""
-    cap = face_guard() if guard is None else guard
+    cap = face_guard()
     emitted = 0
 
     def extend(prefix: tuple[int, ...], cand: int):
@@ -176,38 +167,6 @@ def cliques(g: Graph, guard: int | None = None):
     yield ()
     if g.n:
         yield from extend((), (1 << g.n) - 1)
-
-
-def _induced(g: Graph, keep: list[int]) -> Graph:
-    """Induced subgraph on ascending internal indices ``keep``, labels retained."""
-    pos = {old: new for new, old in enumerate(keep)}
-    adj = [0] * len(keep)
-    for new, old in enumerate(keep):
-        m = g.adj[old]
-        while m:
-            b = m & -m
-            m ^= b
-            other = pos.get(b.bit_length() - 1)
-            if other is not None:
-                adj[new] |= 1 << other
-    labels = tuple(g.label(i) for i in keep)
-    if labels == tuple(range(1, len(keep) + 1)):
-        return Graph(n=len(keep), adj=tuple(adj))
-    return Graph(n=len(keep), adj=tuple(adj), labels=labels)
-
-
-def graph_link(g: Graph, v: int) -> Graph:
-    """Induced subgraph on the neighborhood of ``v`` (a vertex label)."""
-    i = g.index_of(v)
-    keep = [j for j in range(g.n) if g.adj[i] >> j & 1]
-    return _induced(g, keep)
-
-
-def remove_vertices(g: Graph, vs) -> Graph:
-    """Induced subgraph on the complement of the label set ``vs``."""
-    drop = {g.index_of(v) for v in vs}
-    keep = [j for j in range(g.n) if j not in drop]
-    return _induced(g, keep)
 
 
 def turan_graph(n: int, r: int) -> Graph:

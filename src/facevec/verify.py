@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .complexes import (
-    ColoredComplex,
-    check_coloring,
-    chromatic_number,
-    face_vector,
-    one_skeleton,
-)
+from .complexes import ColoredComplex, check_coloring, face_vector, is_balanced
 from .construct import construct_from_vector
 from .errors import GuardExceeded
 from .graphs import Graph, clique_vector, graph6_encode, _clique_counts, _mask_adjacency
@@ -74,10 +68,8 @@ def _balanced_flag(cc: ColoredComplex) -> bool:
     chromatic number whenever colors used <= dimension + 1.
     """
     cx = cc.complex
-    if not cx.vertices:
-        return True
     if len(cx.vertices) <= CHROMATIC_CAP:
-        return chromatic_number(one_skeleton(cx)) == cx.dimension + 1
+        return is_balanced(cx)
     return check_coloring(cc) and cc.colors_used() <= cx.dimension + 1
 
 
@@ -117,10 +109,10 @@ def iter_exhaustive_records(n: int):
     """
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive verification capped at n <= {EXHAUSTIVE_CAP}")
-    cap = face_guard()
+    cap, all_vertices = face_guard(), (1 << n) - 1
     cache: dict[tuple[int, ...], GraphRecord] = {}
     for mask in range(1 << comb(n, 2)):
-        cv = tuple(_clique_counts(_mask_adjacency(n, mask), n, cap))
+        cv = tuple(_clique_counts(_mask_adjacency(n, mask), all_vertices, cap))
         proto = cache.get(cv)
         if proto is None:
             proto = _verified_record(cv, gid="")

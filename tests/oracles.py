@@ -99,6 +99,18 @@ def brute_cliques_by_size(n, edges):
     return tuple(counts)
 
 
+def neighbors(v, edges):
+    """Labels adjacent to v."""
+    return {u for e in edges if v in e for u in e if u != v}
+
+
+def induced_relabelled(keep, edges):
+    """The subgraph induced on the labels ``keep``, relabelled 1..len(keep) in
+    ascending order, as (vertex count, edges)."""
+    pos = {v: i for i, v in enumerate(sorted(keep), start=1)}
+    return len(pos), [(pos[u], pos[v]) for u, v in edges if u in pos and v in pos]
+
+
 def brute_chromatic(n, edges):
     """Smallest k admitting a proper coloring, by trying every assignment."""
     if n == 0:

@@ -75,12 +75,13 @@ class TestClosure:
         bigger = Complex.from_faces(base + [(4, 5, 6)])
         assert closure(cx) <= closure(bigger)
 
-    def test_guard_trips(self):
+    def test_guard_trips(self, monkeypatch):
         cx = Complex.from_faces([tuple(range(1, 21))])
+        monkeypatch.setenv("FACEVEC_GUARD", "100")
         with pytest.raises(GuardExceeded):
-            closure(cx, guard=100)
+            closure(cx)
         with pytest.raises(GuardExceeded):
-            face_vector(cx, guard=100)
+            face_vector(cx)
 
 
 class TestFaceVector:
@@ -303,21 +304,24 @@ class TestBoundaryWalkAgainstOracle:
         assert closure(cx) == brute_closure(faces)
         assert face_vector(cx) == (1, 6, 10, 10, 5, 1)
 
-    def test_guard_counts_every_level_walked(self, pentagon):
-        assert len(closure(pentagon, guard=11)) == 11
+    def test_guard_counts_every_level_walked(self, pentagon, monkeypatch):
+        monkeypatch.setenv("FACEVEC_GUARD", "11")
+        assert len(closure(pentagon)) == 11
+        monkeypatch.setenv("FACEVEC_GUARD", "10")
         with pytest.raises(GuardExceeded):
-            closure(pentagon, guard=10)
+            closure(pentagon)
         with pytest.raises(GuardExceeded):
-            face_vector(pentagon, guard=10)
+            face_vector(pentagon)
 
-    def test_oversized_facet_is_refused_before_any_level_is_made(self):
+    def test_oversized_facet_is_refused_before_any_level_is_made(self, monkeypatch):
         import tracemalloc
 
         cx = Complex.from_faces([tuple(range(1, 41))])
+        monkeypatch.setenv("FACEVEC_GUARD", str(10**5))
         tracemalloc.start()
         try:
             with pytest.raises(GuardExceeded):
-                closure(cx, guard=10**5)
+                closure(cx)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
 
 from facevec import (
+    Complex,
     Graph,
     all_graphs,
     check_coloring,
@@ -14,16 +16,15 @@ from facevec import (
     construct_from_vector,
     construct_pair,
     face_vector,
-    graph_link,
     is_balanced,
     one_skeleton,
-    remove_vertices,
 )
 from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded
 
 from conftest import complete_graph
-from oracles import brute_closure, brute_face_vector
+from oracles import (brute_cliques_by_size, brute_closure, brute_face_vector,
+                     induced_relabelled, neighbors)
 
 
 def assert_pair_contract(g, r, k):
@@ -90,18 +91,70 @@ class TestConstructPairTrace:
         assert trace.sub is not None and trace.sub.kind == "flat"
 
     def test_steps_recomputable_from_the_graph(self, c5, petersen):
-        for g, r, k in [(c5, 2, 1), (petersen, 2, 1), (complete_graph(5), 5, 2)]:
-            _, trace = construct_pair(g, r, k)
+        def audit(trace, within, edges, k):
             if trace.kind != "cone":
-                continue
-            current = g
+                return
+            current = set(within)
             for step in trace.steps:
-                lv = clique_vector(graph_link(current, step.vertex))
+                link = induced_relabelled(neighbors(step.vertex, edges) & current, edges)
+                lv = brute_cliques_by_size(*link)
                 assert step.a == vec_entry(lv, k)
                 assert step.b == vec_entry(lv, k - 1)
-                current = remove_vertices(current, [step.vertex])
+                current.discard(step.vertex)
             # what survives the peeling is exactly the pivot's neighborhood
-            assert current.vertex_labels == graph_link(g, trace.pivot).vertex_labels
+            assert current == neighbors(trace.pivot, edges) & set(within)
+            audit(trace.sub, current, edges, k)
+
+        for g, r, k in [(c5, 2, 1), (petersen, 2, 1), (complete_graph(5), 5, 2),
+                        (complete_graph(6), 6, 3), (Graph.from_edge_mask(7, 0x1F3B6F), 5, 2)]:
+            _, trace = construct_pair(g, r, k)
+            audit(trace, g.vertex_labels, g.edges(), k)
+
+    def test_labelled_graph_names_its_labels(self):
+        cx = Complex.from_faces([(2, 5, 9), (5, 9, 14), (9, 14, 20), (2, 20), (5, 31),
+                                 (14, 31), (20, 31, 44), (3, 44)])
+        g = one_skeleton(cx)
+        assert g.labels == (2, 3, 5, 9, 14, 20, 31, 44)
+        plain = Graph(n=g.n, adj=g.adj)
+        name = dict(enumerate(g.labels, start=1))
+
+        def relabel(trace):
+            if trace is None:
+                return None
+            return replace(
+                trace,
+                pivot=None if trace.pivot is None else name[trace.pivot],
+                non_neighbors=tuple(name[v] for v in trace.non_neighbors),
+                steps=tuple(replace(s, vertex=name[s.vertex]) for s in trace.steps),
+                sub=relabel(trace.sub),
+            )
+
+        r = clique_number(g)
+        cones = 0
+        for k in range(0, r + 2):
+            cc, trace = construct_pair(g, r, k)
+            cc_plain, trace_plain = construct_pair(plain, r, k)
+            assert trace == relabel(trace_plain)
+            assert cc == cc_plain
+            if trace.kind == "cone":
+                cones += 1
+                assert trace.pivot in g.labels
+                assert trace.non_neighbors and set(trace.non_neighbors) <= set(g.labels)
+                assert {s.vertex for s in trace.steps} <= set(g.labels)
+        assert cones == 2
+
+    def test_one_complex_per_call(self, monkeypatch):
+        built = []
+        from_faces = Complex.from_faces.__func__
+
+        def counting(cls, faces):
+            built.append(cls)
+            return from_faces(cls, faces)
+
+        monkeypatch.setattr(Complex, "from_faces", classmethod(counting))
+        _, trace = construct_pair(complete_graph(5), 5, 2)
+        assert trace.sub.kind == "cone" and trace.sub.sub.kind == "cone"
+        assert len(built) == 1
 
     def test_feasibility_inequalities(self, c5):
         for g, r in [(c5, 2), (complete_graph(4), 4), (Graph.from_edges(6, [(1, 2), (3, 4), (5, 6)]), 2)]:

@@ -12,14 +12,14 @@ from facevec import (
     cliques,
     face_vector,
     graph6_encode,
-    graph_link,
     parse_graph,
-    remove_vertices,
     turan_binom,
     turan_graph,
 )
 from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded, InputFormatError
+from facevec.graphs import _clique_counts
+from facevec.limits import DEFAULT_FACE_GUARD as CAP
 
 from conftest import complete_graph
 from oracles import brute_cliques_by_size, decode_edge_mask, decode_graph6, edge_mask_pairs
@@ -148,9 +148,10 @@ class TestCliqueVector:
     def test_empty_graph(self):
         assert clique_vector(Graph.from_edges(0, [])) == (1,)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setenv("FACEVEC_GUARD", "50")
         with pytest.raises(GuardExceeded):
-            clique_vector(complete_graph(10), guard=50)
+            clique_vector(complete_graph(10))
 
     def test_vertices_and_edges_entries(self):
         for g in all_graphs(5):
@@ -191,52 +192,76 @@ class TestCliqueNumber:
 
 
 class TestGraphLink:
+    """A link is a neighbor mask cut to the current vertex mask, counted in place."""
+
     def test_complete_graph_drops_one(self):
         g = complete_graph(5)
-        lk = graph_link(g, 3)
-        assert lk.n == 4
-        assert clique_vector(lk) == (1, 4, 6, 4, 1)
-        assert lk.vertex_labels == (1, 2, 4, 5)
+        assert g.adj[2] == 0b11011
+        assert _clique_counts(g.adj, g.adj[2], CAP) == [1, 4, 6, 4, 1]
 
     def test_isolated_vertex(self):
         g = Graph.from_edges(3, [(1, 2)])
-        assert graph_link(g, 3).n == 0
+        assert g.adj[2] == 0
+        assert _clique_counts(g.adj, g.adj[2], CAP) == [1]
 
     def test_five_cycle_neighbors_not_adjacent(self, c5):
-        for v in range(1, 6):
-            lk = graph_link(c5, v)
-            assert lk.n == 2 and lk.edge_count() == 0
-
-    def test_bad_vertex(self, c5):
-        with pytest.raises(ValueError):
-            graph_link(c5, 6)
+        for i in range(5):
+            assert c5.adj[i].bit_count() == 2
+            assert _clique_counts(c5.adj, c5.adj[i], CAP) == [1, 2]
 
     def test_link_bijection_with_cliques_through_vertex(self):
         for g in all_graphs(5):
             all_cliques = list(cliques(g))
             for v in range(1, g.n + 1):
-                lk_vec = clique_vector(graph_link(g, v))
+                lk_vec = _clique_counts(g.adj, g.adj[v - 1], CAP)
                 for k in range(0, 6):
                     through = sum(1 for c in all_cliques if len(c) == k + 1 and v in c)
                     assert vec_entry(lk_vec, k) == through
 
 
 class TestRemoveVertices:
+    """Removing vertices clears their bits from the vertex mask."""
+
     def test_remove_all(self, c5):
-        assert remove_vertices(c5, [1, 2, 3, 4, 5]).n == 0
+        assert _clique_counts(c5.adj, 0, CAP) == [1]
 
     def test_remove_none(self, c5):
-        assert remove_vertices(c5, []) == c5
+        assert tuple(_clique_counts(c5.adj, 0b11111, CAP)) == clique_vector(c5)
 
     def test_k4_minus_vertex(self):
-        g = remove_vertices(complete_graph(4), [2])
-        assert clique_vector(g) == (1, 3, 3, 1)
-        assert g.vertex_labels == (1, 3, 4)
+        g = complete_graph(4)
+        assert _clique_counts(g.adj, 0b1111 & ~(1 << 1), CAP) == [1, 3, 3, 1]
 
     def test_chained_removal_reaches_link(self, c5):
-        stripped = remove_vertices(c5, [1, 3, 4])
-        assert stripped.vertex_labels == (2, 5)
-        assert stripped.edge_count() == 0
+        stripped = 0b11111
+        for v in (1, 3, 4):
+            stripped &= ~(1 << (v - 1))
+        assert stripped == c5.adj[0]  # vertices 2 and 5, the neighbors of 1
+        assert _clique_counts(c5.adj, stripped, CAP) == [1, 2]
+
+
+class TestCliqueDifferential:
+    def test_against_networkx_on_full_and_sub_masks(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(4242)
+        for n in range(0, 21):
+            for _ in range(3):
+                p = rng.random()
+                g = Graph.from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
+                full = (1 << n) - 1
+                for within in [full] + [rng.randrange(1 << n) for _ in range(4)]:
+                    ref = nx.Graph()
+                    ref.add_nodes_from(i for i in range(n) if within >> i & 1)
+                    ref.add_edges_from((u - 1, w - 1) for u, w in g.edges()
+                                       if within >> (u - 1) & within >> (w - 1) & 1)
+                    expected = [1]
+                    for clique in nx.enumerate_all_cliques(ref):
+                        if len(clique) == len(expected):
+                            expected.append(0)
+                        expected[len(clique)] += 1
+                    assert _clique_counts(g.adj, within, CAP) == expected
+                    if within == full:
+                        assert clique_vector(g) == tuple(expected)
 
 
 class TestAllGraphs:
