@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -166,10 +168,38 @@ def _cmd_construct_pair(args, out) -> int:
     return EXIT_OK
 
 
+def _print_exhaustive_records(n: int, out) -> int:
+    """One record line per graph on n vertices, in mask order; each distinct
+    clique vector's line is formatted once, as a template around the mask."""
+    rows, memo = verify_mod.exhaustive_sweep(n)
+    templates: dict[int, tuple[str, str]] = {}
+    ok = True
+    for first, vectors in rows:
+        for mask, packed in enumerate(vectors, first):
+            template = templates.get(packed)
+            if template is None:
+                record = replace(memo[packed], graph_id=f"mask:{n}:\0")
+                ok = ok and record.ok
+                head, _, tail = _record_line(record).partition("\0")
+                template = templates[packed] = head, tail
+            print(template[0] + str(mask) + template[1], file=out)
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+
+
+def _print_summary(total: int, passes: int, failures, out) -> int:
+    print(f"graphs {total} pass {passes} fail {len(failures)}", file=out)
+    for rec in failures:
+        print("FAIL " + _record_line(rec), file=out)
+    return EXIT_OK if not failures else EXIT_VERIFY_FAIL
+
+
 def _cmd_verify(args, out) -> int:
     if args.exhaustive is not None:
-        records = verify_mod.iter_exhaustive_records(args.exhaustive)
-    elif args.random is not None:
+        if args.output == "records":
+            return _print_exhaustive_records(args.exhaustive, out)
+        report = verify_mod.exhaustive_verify(args.exhaustive)
+        return _print_summary(report.total, report.passes, report.failures, out)
+    if args.random is not None:
         n, p, trials, seed = args.random
         records = verify_mod.iter_random_records(int(n), p, int(trials), int(seed))
     else:
@@ -188,9 +218,7 @@ def _cmd_verify(args, out) -> int:
         if args.output == "records":
             print(_record_line(rec), file=out)
     if args.output == "plain":
-        print(f"graphs {total} pass {passes} fail {len(failures)}", file=out)
-        for rec in failures:
-            print("FAIL " + _record_line(rec), file=out)
+        return _print_summary(total, passes, failures, out)
     return EXIT_OK if not failures else EXIT_VERIFY_FAIL
 
 
@@ -265,23 +293,28 @@ def run(argv: list[str], out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args, out)
-    except InputFormatError as exc:
-        print(f"facevec: input error: {exc}", file=err)
-        return EXIT_INPUT
-    except GuardExceeded as exc:
-        print(f"facevec: resource guard: {exc}", file=err)
-        return EXIT_GUARD
-    except InvariantViolation as exc:
-        print(f"facevec: internal invariant violated: {exc}", file=err)
-        return EXIT_INVARIANT
-    except ValueError as exc:
-        print(f"facevec: usage error: {exc}", file=err)
-        return EXIT_USAGE
-    except Exception as exc:  # last resort: one line and exit 5, never a traceback
-        print(f"facevec: internal error: {type(exc).__name__}: {exc}", file=err)
-        return EXIT_INVARIANT
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.func(args, out)
+        except InputFormatError as exc:
+            print(f"facevec: input error: {exc}", file=err)
+            return EXIT_INPUT
+        except GuardExceeded as exc:
+            print(f"facevec: resource guard: {exc}", file=err)
+            return EXIT_GUARD
+        except InvariantViolation as exc:
+            print(f"facevec: internal invariant violated: {exc}", file=err)
+            return EXIT_INVARIANT
+        except ValueError as exc:
+            print(f"facevec: usage error: {exc}", file=err)
+            return EXIT_USAGE
+        except Exception as exc:  # last resort: one line and exit 5, never a traceback
+            print(f"facevec: internal error: {type(exc).__name__}: {exc}", file=err)
+            return EXIT_INVARIANT
+    for warning in caught:  # an error returned above, so its line stays the only one
+        print(f"facevec: warning: {warning.message}", file=err)
+    return code
 
 
 def main() -> None:

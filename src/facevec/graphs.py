@@ -33,7 +33,7 @@ def _adjacency(n: int, pairs) -> tuple[int, ...]:
     return tuple(adj)
 
 
-@lru_cache(maxsize=MASK_WIDTH_CAP + 1)  # the exhaustive sweep decodes per mask
+@lru_cache(maxsize=MASK_WIDTH_CAP + 1)  # every edge-mask decode and encode reads it
 def _lex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Edge-mask bit order: bit t is the t-th pair in lexicographic order,
     (0,1), (0,2), ..., (n-2,n-1), i.e. labels (1,2), (1,3), ..., (n-1,n)."""
@@ -48,7 +48,7 @@ def _graph6_pairs(n: int):
 def _mask_adjacency(n: int, mask: int) -> tuple[int, ...]:
     """Neighbor masks of the graph whose edges are the set bits of ``mask``;
     bits beyond the C(n, 2) pairs are ignored.  Walks the set bits only, as
-    the exhaustive sweep calls this once per graph."""
+    the exhaustive sweep calls this once per 2^(n-1) graphs."""
     pairs, picked = _lex_pairs(n), []
     mask &= (1 << len(pairs)) - 1
     while mask:
@@ -132,6 +132,44 @@ def _clique_counts(adj: tuple[int, ...] | list[int], within: int, cap: int) -> l
     while counts and counts[-1] == 0:
         counts.pop()
     return counts
+
+
+LANE = 8  # bits per count in a packed clique vector; c_k <= C(7, 3) = 35 < 2^8
+
+
+def packed_clique_rows(n: int):
+    """Packed clique vectors of every graph on n <= 7 vertices, in edge-mask order.
+
+    Count c_k sits in bits [8k, 8k + 8) of one int, so a vector sum is one
+    add.  The low n-1 bits of a mask are vertex 1's pairs and ``mask >> (n-1)``
+    is H = G - 1 in the same order, so c(G) = c(H) + (c(H[N(1)]) << 8).  One
+    subset recursion per H gives every induced vector, S[N] = S[N - u] +
+    (S[N & adj_H(u)] << 8) with u the top vertex of N (the zeta transform of
+    Björklund et al., *Fourier meets Möbius*).  Yields ``(first, vectors)``
+    once per H: ``vectors[low]`` belongs to the mask ``first + low``.
+    """
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive generation capped at n <= {EXHAUSTIVE_CAP}")
+    high_parts = 1 << comb(n, 2)
+    if n == 0:
+        yield 0, [1]
+        return
+    width = n - 1
+    for high in range(high_parts >> width):
+        sub = [1]
+        for nbrs in _mask_adjacency(width, high):
+            sub += [s + (sub[m & nbrs] << LANE) for m, s in enumerate(sub)]
+        whole = sub[-1]
+        yield high << width, [whole + (s << LANE) for s in sub]
+
+
+def unpack_clique_vector(packed: int) -> tuple[int, ...]:
+    """The clique vector a packed int holds; it ends at the clique number."""
+    lanes = []
+    while packed:
+        lanes.append(packed & ((1 << LANE) - 1))
+        packed >>= LANE
+    return tuple(lanes)
 
 
 def clique_vector(g: Graph) -> tuple[int, ...]:
@@ -246,6 +284,7 @@ def _parse_edge_list(text: str) -> Graph:
     if len(body) != m:
         raise InputFormatError(f"header declares {m} edges but {len(body)} lines follow")
     seen: set[tuple[int, int]] = set()
+    duplicates: list[tuple[int, int]] = []
     for line in body:
         tokens = line.split()
         if len(tokens) != 2:
@@ -260,9 +299,11 @@ def _parse_edge_list(text: str) -> Graph:
             raise InputFormatError(f"edge ({u},{v}) out of range 1..{n}")
         key = (min(u, v), max(u, v))
         if key in seen:
-            warnings.warn(f"duplicate edge {key} ignored", stacklevel=3)
-            continue
+            duplicates.append(key)
         seen.add(key)
+    if duplicates:
+        warnings.warn(f"{len(duplicates)} duplicate edge(s) ignored, the first is {duplicates[0]}",
+                      stacklevel=3)
     return Graph(n=n, adj=_adjacency(n, ((u - 1, v - 1) for u, v in seen)))
 
 

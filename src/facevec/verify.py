@@ -9,6 +9,7 @@ assertions, so a bug surfaces as a replayable counterexample.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
@@ -16,7 +17,7 @@ from math import comb
 from .complexes import ColoredComplex, check_coloring, face_vector, is_balanced
 from .construct import construct_from_vector
 from .errors import GuardExceeded
-from .graphs import Graph, clique_vector, graph6_encode, _clique_counts, _mask_adjacency
+from .graphs import Graph, clique_vector, graph6_encode, packed_clique_rows, unpack_clique_vector
 from .limits import CHROMATIC_CAP, EXHAUSTIVE_CAP, face_guard
 from .revlex import LevelSpec, colored_revlex_complex, revlex_complex
 
@@ -100,40 +101,80 @@ def _verified_record(cv: tuple[int, ...], gid: str) -> GraphRecord:
     )
 
 
-def iter_exhaustive_records(n: int):
-    """Per-graph records over every labeled graph on n vertices, in mask order.
+class _RecordMemo(dict):
+    """Packed clique vector -> the verified record of that vector, with an
+    empty graph_id, built on the vector's first sight.
 
-    The construction and its recount are memoized per clique vector: the
-    constructed complex is a function of the vector alone, while the vector
-    itself is recounted from scratch for every single graph.
+    The guard is checked there too: the first mask whose vector is over the
+    cap is always that vector's first sight, so a sweep trips at the same
+    mask as a recount of every graph would.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cap = face_guard()
+
+    def __missing__(self, packed: int) -> GraphRecord:
+        cv = unpack_clique_vector(packed)
+        if sum(cv) > self.cap:
+            raise GuardExceeded(f"clique count exceeds the cap {self.cap}")
+        record = self[packed] = _verified_record(cv, gid="")
+        return record
+
+
+def exhaustive_sweep(n: int):
+    """The sweep every exhaustive consumer shares: ``(rows, memo)``.
+
+    ``rows`` yields ``(first, vectors)`` one high part at a time, where
+    ``vectors[i]`` is the packed clique vector of the graph with edge mask
+    ``first + i``; ``memo[packed]`` is that vector's record.
     """
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive verification capped at n <= {EXHAUSTIVE_CAP}")
-    cap, all_vertices = face_guard(), (1 << n) - 1
-    cache: dict[tuple[int, ...], GraphRecord] = {}
-    for mask in range(1 << comb(n, 2)):
-        cv = tuple(_clique_counts(_mask_adjacency(n, mask), all_vertices, cap))
-        proto = cache.get(cv)
-        if proto is None:
-            proto = _verified_record(cv, gid="")
-            cache[cv] = proto
-        yield replace(proto, graph_id=f"mask:{n}:{mask}")
+    if n < 0:
+        raise ValueError(f"exhaustive verification needs n >= 0, got {n}")
+    return packed_clique_rows(n), _RecordMemo()
+
+
+def iter_exhaustive_records(n: int):
+    """Per-graph records over every labeled graph on n vertices, in mask order.
+
+    Each graph's clique vector is exact and its own, computed by vertex
+    extension from the graph with vertex 1 removed (``packed_clique_rows``);
+    the construction and its recount are memoized per clique vector, since
+    the constructed complex is a function of the vector alone.
+    """
+    rows, memo = exhaustive_sweep(n)
+    for first, vectors in rows:
+        for mask, packed in enumerate(vectors, first):
+            yield replace(memo[packed], graph_id=f"mask:{n}:{mask}")
 
 
 def exhaustive_verify(n: int) -> VerificationReport:
-    """Verify every labeled graph on n vertices; aggregation is mask-ordered."""
+    """Verify every labeled graph on n vertices; aggregation is mask-ordered.
+
+    Graphs are counted per distinct clique vector; per-graph records are
+    built only when they are retained or a failing graph shares their row.
+    """
+    rows, memo = exhaustive_sweep(n)
     total = passes = 0
     failures: list[GraphRecord] = []
     retain = (1 << comb(n, 2)) <= RECORD_RETENTION_LIMIT
     records: list[GraphRecord] | None = [] if retain else None
-    for record in iter_exhaustive_records(n):
-        total += 1
-        if record.ok:
-            passes += 1
-        else:
-            failures.append(record)
-        if records is not None:
-            records.append(record)
+    for first, vectors in rows:
+        failing = False
+        for packed, graphs in Counter(vectors).items():  # first sights in mask order
+            total += graphs
+            if memo[packed].ok:
+                passes += graphs
+            else:
+                failing = True
+        if retain or failing:
+            row = [replace(memo[packed], graph_id=f"mask:{n}:{mask}")
+                   for mask, packed in enumerate(vectors, first)]
+            failures += [record for record in row if not record.ok]
+            if records is not None:
+                records += row
     return VerificationReport(
         total=total,
         passes=passes,

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -169,6 +170,71 @@ class TestVerifyCommand:
             "graph=mask:3:7 r=3 cliquevec=1,3,3,1 facevec=1,3,3,1 margins=0,0"
             " equal=1 coloring=1 balanced=1 ok=1 error=-"
         )
+
+    # sha256 of `verify --exhaustive N --output records`, recorded from the
+    # per-mask recount that preceded the vertex-extension sweep
+    RECORD_SHA256 = {
+        0: "ad65b770c5c8334cd1530f5fcea64d005a5e352587d6fbf60800f28191ee5402",
+        1: "75357e87d858280bb974350ff5a489ac5cf16a2410d8bfd3d4dc9dc416d169c1",
+        2: "f41fedf3d850228ec36fc0ef9faec98349adaa4794a310bb078e5261ef6b0573",
+        3: "747078fa6214a6c311a86066318c4659f7329bd476efe41097436ef08723287e",
+        4: "94d89caf62c0d34b7a646cf3d490ab1bdee4383ed51c231da9fb9b23da1e0df6",
+        5: "1bf0f898b31e68c1742f334df1a53747b8a31e90d8a0b17cdba7324bfe76c028",
+        6: "0e2a87b323dd624d445c7964d896c81ac96f2e5d8f7869d58e753d393b85efee",
+    }
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_exhaustive_record_bytes(self, n):
+        code, out, err = invoke(["verify", "--exhaustive", str(n), "--output", "records"])
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1 << n * (n - 1) // 2
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RECORD_SHA256[n]
+
+    def test_exhaustive_plain_bytes(self):
+        assert invoke(["verify", "--exhaustive", "5"]) == (0, "graphs 1024 pass 1024 fail 0\n", "")
+
+    def test_exhaustive_guard_trips_mid_sweep(self, monkeypatch):
+        monkeypatch.setenv("FACEVEC_GUARD", "5")
+        code, out, err = invoke(["verify", "--exhaustive", "3", "--output", "records"])
+        assert code == 4
+        assert out == (
+            "graph=mask:3:0 r=1 cliquevec=1,3 facevec=1,3 margins=-"
+            " equal=1 coloring=1 balanced=1 ok=1 error=-\n"
+            "graph=mask:3:1 r=2 cliquevec=1,3,1 facevec=1,3,1 margins=1"
+            " equal=1 coloring=1 balanced=1 ok=1 error=-\n"
+            "graph=mask:3:2 r=2 cliquevec=1,3,1 facevec=1,3,1 margins=1"
+            " equal=1 coloring=1 balanced=1 ok=1 error=-\n"
+        )
+        assert err == "facevec: resource guard: clique count exceeds the cap 5\n"
+
+    def test_exhaustive_failure_exit_is_one(self, monkeypatch):
+        import facevec.verify as verify_mod
+        from dataclasses import replace
+
+        real = verify_mod._verified_record
+        monkeypatch.setattr(verify_mod, "_verified_record", lambda cv, gid: replace(
+            real(cv, gid), balanced_ok=cv != (1, 3, 1)))
+        code, out, _ = invoke(["verify", "--exhaustive", "3", "--output", "records"])
+        assert code == 1
+        assert [line.endswith("ok=0 error=-") for line in out.splitlines()] == [
+            False, True, True, False, True, False, False, False]
+        code, out, _ = invoke(["verify", "--exhaustive", "3"])
+        assert code == 1
+        assert out.splitlines()[0] == "graphs 8 pass 5 fail 3"
+        assert [line.split()[1] for line in out.splitlines()[1:]] == [
+            "graph=mask:3:1", "graph=mask:3:2", "graph=mask:3:4"]
+
+    def test_duplicate_edge_is_one_warning_line(self, monkeypatch):
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3 2\n1 2\n1 2\n"))
+        assert invoke(["cliquevec", "-"]) == (
+            0, "1 3 1\n", "facevec: warning: 1 duplicate edge(s) ignored, the first is (1, 2)\n")
+        # an error drops the warning, so the error line stays the only line
+        monkeypatch.setenv("FACEVEC_GUARD", "3")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3 2\n1 2\n1 2\n"))
+        assert invoke(["cliquevec", "-"]) == (
+            4, "", "facevec: resource guard: clique count exceeds the cap 3\n")
 
     def test_graph6_stdin_roundtrip(self, monkeypatch):
         import sys

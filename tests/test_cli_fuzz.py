@@ -6,7 +6,6 @@ Sizes stay at most 8, counts at most 1,000 and graphs at most 8 vertices
 """
 import io
 import sys
-import warnings
 from itertools import combinations
 from unittest import mock
 
@@ -53,10 +52,7 @@ graph_bytes = st.one_of(
 def check_contract(argv, stdin=b""):
     out, err = io.StringIO(), io.StringIO()
     source = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
-    # duplicate edges warn through the warnings module, not the CLI's stderr
-    with mock.patch.object(sys, "stdin", source), mock.patch.object(sys, "stderr", err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with mock.patch.object(sys, "stdin", source), mock.patch.object(sys, "stderr", err):
         code = run(argv, out=out, err=err)
     assert 0 <= code <= 5, (argv, stdin, code)
     assert err.getvalue().count("\n") <= 1, (argv, stdin, err.getvalue())

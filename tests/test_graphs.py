@@ -53,9 +53,16 @@ class TestParseEdgeList:
             parse_graph("3 1\n2 2\n")
 
     def test_duplicate_edge_warns_and_dedupes(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match=r"^1 duplicate edge\(s\) ignored, the first is \(1, 2\)$"):
             g = parse_graph("3 2\n1 2\n2 1\n")
         assert g.edges() == [(1, 2)]
+
+    def test_duplicate_edges_warn_once_per_input(self):
+        with pytest.warns(UserWarning) as caught:
+            g = parse_graph("4 5\n3 4\n1 2\n4 3\n2 1\n4 3\n")
+        assert [str(w.message) for w in caught] == [
+            "3 duplicate edge(s) ignored, the first is (3, 4)"]
+        assert g.edges() == [(1, 2), (3, 4)]
 
     def test_edge_count_mismatch(self):
         with pytest.raises(InputFormatError):

@@ -1,4 +1,10 @@
+import random
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 import pytest
 
@@ -14,10 +20,18 @@ from facevec import (
     verify_graph,
 )
 from facevec.complexes import vec_entry
+from facevec.errors import GuardExceeded
+from facevec.graphs import _clique_counts, _mask_adjacency, packed_clique_rows, unpack_clique_vector
 from facevec.verify import iter_exhaustive_records, random_graph
 
 from conftest import complete_graph
 from oracles import brute_cliques_by_size, decode_edge_mask
+
+
+@cache
+def _clique_totals(n):
+    """Number of cliques, the empty one included, of every graph by edge mask."""
+    return [sum(brute_cliques_by_size(n, decode_edge_mask(n, mask))) for mask in range(1 << comb(n, 2))]
 
 
 class TestVerifyGraph:
@@ -76,6 +90,86 @@ class TestExhaustive:
     def test_cap(self):
         with pytest.raises(ValueError):
             exhaustive_verify(8)
+        with pytest.raises(ValueError, match="n >= 0"):
+            exhaustive_verify(-1)
+
+    @pytest.mark.parametrize("cap", range(1, 34))
+    def test_guard_trips_at_the_first_mask_over_the_cap(self, cap, monkeypatch):
+        monkeypatch.setenv("FACEVEC_GUARD", str(cap))
+        over = next((mask for mask, total in enumerate(_clique_totals(5)) if total > cap), None)
+        seen = []
+        if over is None:
+            seen = list(iter_exhaustive_records(5))
+        else:
+            with pytest.raises(GuardExceeded, match=f"exceeds the cap {cap}$"):
+                for rec in iter_exhaustive_records(5):
+                    seen.append(rec)
+        assert len(seen) == (1024 if over is None else over)
+
+    def test_failures_are_kept_in_mask_order(self, monkeypatch):
+        import facevec.verify as verify_mod
+
+        real = verify_mod._verified_record
+
+        def single_edges_fail(cv, gid):
+            rec = real(cv, gid)
+            return replace(rec, coloring_ok=False) if cv == (1, 4, 1) else rec
+
+        monkeypatch.setattr(verify_mod, "_verified_record", single_edges_fail)
+        report = exhaustive_verify(4)
+        assert (report.total, report.passes) == (64, 58)
+        assert [r.graph_id for r in report.failures] == [f"mask:4:{1 << t}" for t in range(6)]
+        assert report.failures == tuple(r for r in iter_exhaustive_records(4) if not r.ok)
+        assert report.records == tuple(iter_exhaustive_records(4))
+        monkeypatch.setattr(verify_mod, "RECORD_RETENTION_LIMIT", 0)
+        unretained = exhaustive_verify(4)
+        assert unretained.records is None
+        assert unretained.failures == report.failures
+        assert (unretained.total, unretained.passes) == (64, 58)
+
+
+class TestPackedSweep:
+    """The vertex-extension sweep against a per-mask recount."""
+
+    @staticmethod
+    def recount(n, mask):
+        return tuple(_clique_counts(_mask_adjacency(n, mask), (1 << n) - 1, 1 << 30))
+
+    def test_every_mask_to_six_matches_a_recount(self):
+        for n in range(7):
+            masks = 0
+            for first, vectors in packed_clique_rows(n):
+                assert first == masks
+                for mask, packed in enumerate(vectors, first):
+                    assert unpack_clique_vector(packed) == self.recount(n, mask), (n, mask)
+                masks += len(vectors)
+            assert masks == 1 << comb(n, 2)
+
+    def test_sampled_masks_at_seven_match_a_recount(self):
+        picked = sorted(random.Random(20_000).sample(range(1 << 21), 20_000))
+        found = {}
+        for first, vectors in packed_clique_rows(7):
+            for mask in picked[bisect_left(picked, first):bisect_left(picked, first + len(vectors))]:
+                found[mask] = unpack_clique_vector(vectors[mask - first])
+        assert list(found) == picked
+        for mask in picked:
+            assert found[mask] == self.recount(7, mask), mask
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_aggregate_identity(self, n):
+        # every k-set is a clique in the 2^(C(n,2) - C(k,2)) graphs holding its pairs
+        per_vector = Counter()
+        for _, vectors in packed_clique_rows(n):
+            per_vector.update(vectors)
+        sums = [0] * (n + 1)
+        for packed, graphs in per_vector.items():
+            for k, c in enumerate(unpack_clique_vector(packed)):
+                sums[k] += graphs * c
+        assert sums == [comb(n, k) << (comb(n, 2) - comb(k, 2)) for k in range(n + 1)]
+
+    def test_cap(self):
+        with pytest.raises(ValueError):
+            next(packed_clique_rows(8))
 
 
 class TestRandom:
@@ -127,8 +221,6 @@ class TestOracleFaceCount:
         assert oracle_face_count(LevelSpec.of((2, 5)), colors=2) == (1, 5, 5)
 
     def test_single_simplex_column(self):
-        from math import comb
-
         for k in range(1, 6):
             assert oracle_face_count(LevelSpec.of((k, 1)), colors=k) == tuple(
                 comb(k, i) for i in range(k + 1)
