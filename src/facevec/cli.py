@@ -186,40 +186,34 @@ def _print_exhaustive_records(n: int, out) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def _print_summary(total: int, passes: int, failures, out) -> int:
-    print(f"graphs {total} pass {passes} fail {len(failures)}", file=out)
-    for rec in failures:
+def _print_summary(report: verify_mod.VerificationReport, out) -> int:
+    print(f"graphs {report.total} pass {report.passes} fail {len(report.failures)}", file=out)
+    for rec in report.failures:
         print("FAIL " + _record_line(rec), file=out)
-    return EXIT_OK if not failures else EXIT_VERIFY_FAIL
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 
 
 def _cmd_verify(args, out) -> int:
+    if (args.graph, args.exhaustive, args.random).count(None) < 2:
+        raise ValueError("verify takes one of <graph>, --exhaustive or --random")
     if args.exhaustive is not None:
         if args.output == "records":
             return _print_exhaustive_records(args.exhaustive, out)
-        report = verify_mod.exhaustive_verify(args.exhaustive)
-        return _print_summary(report.total, report.passes, report.failures, out)
+        return _print_summary(verify_mod.exhaustive_verify(args.exhaustive), out)
     if args.random is not None:
         n, p, trials, seed = args.random
         records = verify_mod.iter_random_records(int(n), p, int(trials), int(seed))
+    elif args.graph is not None:
+        records = [verify_mod.verify_graph(_load_graph(args))]
     else:
-        if args.graph is None:
-            raise InputFormatError("verify needs a graph, --exhaustive or --random")
-        records = iter([verify_mod.verify_graph(_load_graph(args))])
-
-    total = passes = 0
-    failures = []
-    for rec in records:
-        total += 1
-        if rec.ok:
-            passes += 1
-        else:
-            failures.append(rec)
-        if args.output == "records":
-            print(_record_line(rec), file=out)
+        raise InputFormatError("verify needs a graph, --exhaustive or --random")
     if args.output == "plain":
-        return _print_summary(total, passes, failures, out)
-    return EXIT_OK if not failures else EXIT_VERIFY_FAIL
+        return _print_summary(verify_mod.tally(records), out)
+    ok = True
+    for rec in records:
+        print(_record_line(rec), file=out)
+        ok = ok and rec.ok
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -144,13 +144,12 @@ def one_skeleton(c: Complex) -> graphs.Graph:
 
 
 def is_flag(c: Complex) -> bool:
-    """True iff the complex equals the clique complex of its own 1-skeleton."""
-    faces = closure(c)
-    if not faces:
-        return True
-    skel = one_skeleton(c)
-    clique_faces = set(graphs.cliques(skel))
-    return faces == clique_faces
+    """True iff the complex equals the clique complex of its own 1-skeleton.
+
+    Every face is a clique of the skeleton, so the two are equal exactly when
+    their face vectors are.
+    """
+    return not c.facets or face_vector(c) == graphs.clique_vector(one_skeleton(c))
 
 
 def chromatic_number(g: graphs.Graph) -> int:

@@ -14,15 +14,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .complexes import ColoredComplex, check_coloring, face_vector, is_balanced
+from .complexes import ColoredComplex, check_coloring, complex_and_face_vector, is_balanced
 from .construct import construct_from_vector
 from .errors import GuardExceeded
 from .graphs import Graph, clique_vector, graph6_encode, packed_clique_rows, unpack_clique_vector
 from .limits import CHROMATIC_CAP, EXHAUSTIVE_CAP, face_guard
-from .revlex import LevelSpec, colored_revlex_complex, revlex_complex
+from .revlex import LevelSpec, revlex_faces
 
 RANDOM_VERTEX_LIMIT = 24
-RECORD_RETENTION_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -48,17 +47,32 @@ class GraphRecord:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Aggregate of per-graph records; ``records`` is None on huge runs where
-    only the failures are retained (each failure stays fully replayable)."""
+    """Aggregate of per-graph records; every failure stays fully replayable.
+
+    Only ``random_verify`` fills ``records``; every other report keeps its
+    failures only, and streams such as ``iter_exhaustive_records`` give the
+    rest.
+    """
 
     total: int
     passes: int
     failures: tuple[GraphRecord, ...]
-    records: tuple[GraphRecord, ...] | None
+    records: tuple[GraphRecord, ...] | None = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+def tally(records) -> VerificationReport:
+    """Count a stream of records: total, passes and the failures in stream order."""
+    total = 0
+    failures = []
+    for rec in records:
+        total += 1
+        if not rec.ok:
+            failures.append(rec)
+    return VerificationReport(total, total - len(failures), tuple(failures))
 
 
 def _balanced_flag(cc: ColoredComplex) -> bool:
@@ -151,16 +165,14 @@ def iter_exhaustive_records(n: int):
 
 
 def exhaustive_verify(n: int) -> VerificationReport:
-    """Verify every labeled graph on n vertices; aggregation is mask-ordered.
+    """Verify every labeled graph on n vertices; failures come in mask order.
 
     Graphs are counted per distinct clique vector; per-graph records are
-    built only when they are retained or a failing graph shares their row.
+    built only for the failing graphs, in the rows that hold them.
     """
     rows, memo = exhaustive_sweep(n)
     total = passes = 0
     failures: list[GraphRecord] = []
-    retain = (1 << comb(n, 2)) <= RECORD_RETENTION_LIMIT
-    records: list[GraphRecord] | None = [] if retain else None
     for first, vectors in rows:
         failing = False
         for packed, graphs in Counter(vectors).items():  # first sights in mask order
@@ -169,18 +181,10 @@ def exhaustive_verify(n: int) -> VerificationReport:
                 passes += graphs
             else:
                 failing = True
-        if retain or failing:
-            row = [replace(memo[packed], graph_id=f"mask:{n}:{mask}")
-                   for mask, packed in enumerate(vectors, first)]
-            failures += [record for record in row if not record.ok]
-            if records is not None:
-                records += row
-    return VerificationReport(
-        total=total,
-        passes=passes,
-        failures=tuple(failures),
-        records=tuple(records) if records is not None else None,
-    )
+        if failing:
+            failures += [replace(memo[packed], graph_id=f"mask:{n}:{mask}")
+                         for mask, packed in enumerate(vectors, first) if not memo[packed].ok]
+    return VerificationReport(total, passes, tuple(failures))
 
 
 def random_graph(n: int, p: Fraction, key: str) -> Graph:
@@ -202,6 +206,8 @@ def iter_random_records(n: int, p, trials: int, seed: int):
         raise ValueError(f"random verification capped at n <= {RANDOM_VERTEX_LIMIT}")
     if n < 0:
         raise ValueError(f"random verification needs n >= 0, got {n}")
+    if trials < 0:
+        raise ValueError(f"random verification needs trials >= 0, got {trials}")
     try:
         p = Fraction(p)
     except (ValueError, ZeroDivisionError):
@@ -215,14 +221,8 @@ def iter_random_records(n: int, p, trials: int, seed: int):
 
 def random_verify(n: int, p, trials: int, seed: int) -> VerificationReport:
     """Seeded random spot check; identical arguments give identical reports."""
-    records = list(iter_random_records(n, p, trials, seed))
-    failures = tuple(r for r in records if not r.ok)
-    return VerificationReport(
-        total=len(records),
-        passes=len(records) - len(failures),
-        failures=failures,
-        records=tuple(records),
-    )
+    records = tuple(iter_random_records(n, p, trials, seed))
+    return replace(tally(records), records=records)
 
 
 def oracle_face_count(spec: LevelSpec, colors: int | None = None) -> tuple[int, ...]:
@@ -231,8 +231,4 @@ def oracle_face_count(spec: LevelSpec, colors: int | None = None) -> tuple[int, 
     Entirely independent of the canonical-representation bound formulas; this
     is the ground truth the bounds are validated against.
     """
-    if colors is None:
-        cx = revlex_complex(spec)
-    else:
-        cx = colored_revlex_complex(spec, colors).complex
-    return face_vector(cx)
+    return complex_and_face_vector(revlex_faces(spec, colors))[1]

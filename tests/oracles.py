@@ -38,6 +38,18 @@ def brute_closure(facets):
     return faces
 
 
+def brute_is_flag(facets):
+    """Closure equals the set of every clique of its 1-skeleton, compared as sets."""
+    faces = brute_closure(facets)
+    if not faces:
+        return True
+    verts = sorted({v for f in faces for v in f})
+    edges = {f for f in faces if len(f) == 2}
+    cliques = {sub for size in range(len(verts) + 1) for sub in combinations(verts, size)
+               if all(pair in edges for pair in combinations(sub, 2))}
+    return faces == cliques
+
+
 def brute_face_vector(faces):
     if not faces:
         return ()

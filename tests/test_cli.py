@@ -314,6 +314,23 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "facevec: usage error: random verification needs n >= 0, got -3\n"
 
+    def test_usage_error_negative_random_trials(self):
+        for output in ("plain", "records"):
+            code, out, err = invoke(["verify", "--random", "5", "1/2", "-1", "1", "--output", output])
+            assert code == 2 and out == ""
+            assert err == "facevec: usage error: random verification needs trials >= 0, got -1\n"
+
+    def test_usage_error_more_than_one_verify_source(self, pentagon_file):
+        for argv in (
+            ["verify", "--exhaustive", "7", "--random", "3", "1", "1", "1"],
+            ["verify", pentagon_file, "--exhaustive", "2"],
+            ["verify", pentagon_file, "--random", "3", "1", "1", "1", "--output", "records"],
+            ["verify", "/nonexistent/file.edges", "--exhaustive", "0"],
+        ):
+            code, out, err = invoke(argv)
+            assert code == 2 and out == "", argv
+            assert err == "facevec: usage error: verify takes one of <graph>, --exhaustive or --random\n"
+
     def test_usage_error_zero_denominator_probability(self):
         code, out, err = invoke(["verify", "--random", "5", "1/0", "1", "1"])
         assert code == 2 and out == ""

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from facevec import (
@@ -21,7 +23,7 @@ from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded
 
 from conftest import complete_graph
-from oracles import brute_chromatic, brute_closure, brute_face_vector
+from oracles import brute_chromatic, brute_closure, brute_face_vector, brute_is_flag
 
 
 def clique_complex(g):
@@ -178,6 +180,21 @@ class TestIsFlag:
     def test_every_clique_complex_is_flag(self):
         for g in all_graphs(5):
             assert is_flag(clique_complex(g))
+
+    def test_matches_set_oracle_on_random_complexes(self):
+        rng = random.Random(2024)
+        flags = 0
+        for trial in range(1500):
+            n = rng.randint(1, 7)
+            faces = [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+                     for _ in range(rng.randint(0, 6))]
+            if trial % 3 == 0:  # a hollow simplex: every facet of the boundary of a k-set
+                top = rng.sample(range(1, n + 1), rng.randint(1, n))
+                faces += [tuple(sorted(set(top) - {v})) for v in top]
+            cx = Complex.from_faces(faces)
+            assert is_flag(cx) == brute_is_flag(cx.facets), faces
+            flags += is_flag(cx)
+        assert 0 < flags < 1500  # both verdicts occur
 
 
 class TestChromaticNumber:

@@ -11,6 +11,7 @@ import pytest
 from facevec import (
     Graph,
     LevelSpec,
+    VerificationReport,
     clique_vector,
     exhaustive_verify,
     ffk_bound,
@@ -22,7 +23,7 @@ from facevec import (
 from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded
 from facevec.graphs import _clique_counts, _mask_adjacency, packed_clique_rows, unpack_clique_vector
-from facevec.verify import iter_exhaustive_records, random_graph
+from facevec.verify import iter_exhaustive_records, random_graph, tally
 
 from conftest import complete_graph
 from oracles import brute_cliques_by_size, decode_edge_mask
@@ -64,7 +65,7 @@ class TestExhaustive:
     def test_three_vertices(self):
         report = exhaustive_verify(3)
         assert (report.total, report.passes, report.failures) == (8, 8, ())
-        assert report.records is not None and len(report.records) == 8
+        assert report.records is None
 
     def test_four_vertices(self):
         report = exhaustive_verify(4)
@@ -120,12 +121,6 @@ class TestExhaustive:
         assert (report.total, report.passes) == (64, 58)
         assert [r.graph_id for r in report.failures] == [f"mask:4:{1 << t}" for t in range(6)]
         assert report.failures == tuple(r for r in iter_exhaustive_records(4) if not r.ok)
-        assert report.records == tuple(iter_exhaustive_records(4))
-        monkeypatch.setattr(verify_mod, "RECORD_RETENTION_LIMIT", 0)
-        unretained = exhaustive_verify(4)
-        assert unretained.records is None
-        assert unretained.failures == report.failures
-        assert (unretained.total, unretained.passes) == (64, 58)
 
 
 class TestPackedSweep:
@@ -210,6 +205,25 @@ class TestRandom:
     def test_vertex_cap(self):
         with pytest.raises(ValueError):
             random_verify(25, "1/2", 1, 1)
+
+    def test_negative_trials(self):
+        with pytest.raises(ValueError, match="trials >= 0, got -1$"):
+            random_verify(5, "1/2", -1, 1)
+        assert random_verify(5, "1/2", 0, 1) == VerificationReport(0, 0, (), ())
+
+    def test_report_is_the_tally_of_its_records(self):
+        report = random_verify(7, "1/2", 20, 4)
+        assert len(report.records) == 20
+        assert replace(report, records=None) == tally(report.records)
+
+
+class TestTally:
+    def test_counts_and_keeps_failures_in_stream_order(self, c5):
+        good = verify_graph(c5)
+        bad = [replace(good, graph_id=f"bad:{i}", balanced_ok=False) for i in range(2)]
+        report = tally(iter([bad[0], good, good, bad[1], good]))
+        assert (report.total, report.passes, report.failures) == (5, 3, tuple(bad))
+        assert report.records is None and not report.ok
 
 
 class TestOracleFaceCount:
