@@ -49,15 +49,11 @@ from .graphs import (
 )
 from .revlex import (
     LevelSpec,
-    colored_revlex_complex,
     first_ksets,
     first_permissible_ksets,
     is_permissible,
-    kset_rank,
-    kset_unrank,
     next_kset,
-    revlex_compare,
-    revlex_complex,
+    revlex_faces,
     revlex_key,
 )
 from .verify import (
@@ -93,7 +89,6 @@ __all__ = [
     "clique_vector",
     "cliques",
     "closure",
-    "colored_revlex_complex",
     "construct_balanced",
     "construct_from_vector",
     "construct_pair",
@@ -109,16 +104,13 @@ __all__ = [
     "is_permissible",
     "kk_canonical",
     "kk_shadow_bound",
-    "kset_rank",
-    "kset_unrank",
     "link",
     "next_kset",
     "one_skeleton",
     "oracle_face_count",
     "parse_graph",
     "random_verify",
-    "revlex_compare",
-    "revlex_complex",
+    "revlex_faces",
     "revlex_key",
     "turan_binom",
     "turan_graph",

@@ -193,6 +193,14 @@ def _print_summary(report: verify_mod.VerificationReport, out) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 
 
+def _random_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"random verification needs integer N, TRIALS and SEED, got {text!r}") from None
+
+
 def _cmd_verify(args, out) -> int:
     if (args.graph, args.exhaustive, args.random).count(None) < 2:
         raise ValueError("verify takes one of <graph>, --exhaustive or --random")
@@ -202,7 +210,8 @@ def _cmd_verify(args, out) -> int:
         return _print_summary(verify_mod.exhaustive_verify(args.exhaustive), out)
     if args.random is not None:
         n, p, trials, seed = args.random
-        records = verify_mod.iter_random_records(int(n), p, int(trials), int(seed))
+        records = verify_mod.iter_random_records(
+            _random_int(n), p, _random_int(trials), _random_int(seed))
     elif args.graph is not None:
         records = [verify_mod.verify_graph(_load_graph(args))]
     else:

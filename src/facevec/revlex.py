@@ -6,8 +6,6 @@ Plain k-sets are enumerated by successor (``next_kset``).  Permissible
 k-sets come from a nested walk in the same order that never builds a set it
 rejects: the sets are grouped by their largest element, and each group is
 the smaller sets below it whose residues avoid the ones already taken.
-Rank/unrank via the combinatorial number system is kept alongside as an
-independent cross-check for the uncolored order.
 """
 from __future__ import annotations
 
@@ -15,7 +13,6 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count, islice
-from math import comb
 
 from .complexes import ColoredComplex, Complex, Face
 from .errors import GuardExceeded, InputFormatError
@@ -25,16 +22,6 @@ from .limits import face_guard
 def revlex_key(face: Face) -> tuple[int, ...]:
     """Sort key realizing rev-lex order among equal-size faces."""
     return tuple(reversed(face))
-
-
-def revlex_compare(a: Face, b: Face) -> int:
-    """-1, 0 or 1 as ``a`` precedes, equals or follows ``b`` in rev-lex order."""
-    if len(a) != len(b):
-        raise ValueError(f"rev-lex compares equal-size faces only: {a} vs {b}")
-    ka, kb = revlex_key(a), revlex_key(b)
-    if ka == kb:
-        return 0
-    return -1 if ka < kb else 1
 
 
 def next_kset(face: Face) -> Face:
@@ -47,23 +34,6 @@ def next_kset(face: Face) -> Face:
         if i + 1 == k or bumped < face[i + 1]:
             return tuple(range(1, i + 1)) + (bumped,) + face[i + 1:]
     raise AssertionError("unreachable")
-
-
-def kset_rank(face: Face) -> int:
-    """0-based rev-lex position via the combinatorial number system."""
-    return sum(comb(v - 1, i) for i, v in enumerate(face, start=1))
-
-
-def kset_unrank(rank: int, k: int) -> Face:
-    """Inverse of ``kset_rank`` for k-sets."""
-    out = []
-    for i in range(k, 0, -1):
-        v = i
-        while comb(v, i) <= rank:
-            v += 1
-        rank -= comb(v - 1, i)
-        out.append(v)
-    return tuple(reversed(out))
 
 
 def is_permissible(face: Face, r: int) -> bool:
@@ -118,6 +88,8 @@ _segment_lock = threading.Lock()
 
 
 def _segment(m: int, k: int, r: int | None) -> list[Face]:
+    if m < 0:
+        raise ValueError(f"segment length must be nonnegative, got {m}")
     if m == 0:
         return []
     entry = _segments.get((k, r))
@@ -144,9 +116,7 @@ def first_permissible_ksets(m: int, k: int, r: int) -> list[Face]:
     """
     if k < 1:
         raise ValueError("face size must be positive")
-    if k > r:
-        if m == 0:
-            return []
+    if k > r and m > 0:
         raise ValueError(f"no {r}-permissible {k}-set exists; cannot produce {m}")
     return _segment(m, k, r)
 
@@ -160,6 +130,8 @@ class LevelSpec:
     def __post_init__(self):
         prev = 0
         for size, count in self.entries:
+            if size < 1:
+                raise ValueError(f"level sizes must be positive: {self.entries}")
             if size <= prev:
                 raise ValueError(f"level sizes must strictly increase: {self.entries}")
             if count < 0:
@@ -220,18 +192,3 @@ def residue_colored(cx: Complex, colors: int) -> ColoredComplex:
     """
     coloring = {v: (v - 1) % colors + 1 for v in cx.vertices}
     return ColoredComplex(complex=cx, colors=colors, coloring=coloring)
-
-
-def revlex_complex(spec: LevelSpec) -> Complex:
-    """Union of the initial-segment complexes at every requested level.
-
-    When adjacent requested levels respect the shadow bound, the closure has
-    exactly the requested number of faces at each level; this function builds
-    the complex either way and leaves exactness to its callers.
-    """
-    return Complex.from_faces(revlex_faces(spec))
-
-
-def colored_revlex_complex(spec: LevelSpec, colors: int) -> ColoredComplex:
-    """Union of permissible initial segments, colored by label residue."""
-    return residue_colored(Complex.from_faces(revlex_faces(spec, colors)), colors)

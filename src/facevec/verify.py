@@ -47,17 +47,15 @@ class GraphRecord:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Aggregate of per-graph records; every failure stays fully replayable.
+    """Counts of a verification run and its failures, each fully replayable.
 
-    Only ``random_verify`` fills ``records``; every other report keeps its
-    failures only, and streams such as ``iter_exhaustive_records`` give the
-    rest.
+    A report keeps no passing record: the streams ``iter_exhaustive_records``
+    and ``iter_random_records`` give every record.
     """
 
     total: int
     passes: int
     failures: tuple[GraphRecord, ...]
-    records: tuple[GraphRecord, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -88,9 +86,10 @@ def _balanced_flag(cc: ColoredComplex) -> bool:
     return check_coloring(cc) and cc.colors_used() <= cx.dimension + 1
 
 
-def verify_graph(g: Graph, graph_id: str | None = None) -> GraphRecord:
-    """Run the construction on one graph and recount everything brute force."""
-    gid = graph_id if graph_id is not None else f"g6:{graph6_encode(g)}"
+def verify_graph(g: Graph) -> GraphRecord:
+    """Run the construction on one graph and recount everything brute force;
+    the record names the graph by its graph6 string."""
+    gid = f"g6:{graph6_encode(g)}"
     try:
         cv = clique_vector(g)
     except GuardExceeded as exc:
@@ -215,14 +214,12 @@ def iter_random_records(n: int, p, trials: int, seed: int):
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     for t in range(trials):
-        g = random_graph(n, p, key=f"{seed}:{t}")
-        yield verify_graph(g, graph_id=f"g6:{graph6_encode(g)}")
+        yield verify_graph(random_graph(n, p, key=f"{seed}:{t}"))
 
 
 def random_verify(n: int, p, trials: int, seed: int) -> VerificationReport:
     """Seeded random spot check; identical arguments give identical reports."""
-    records = tuple(iter_random_records(n, p, trials, seed))
-    return replace(tally(records), records=records)
+    return tally(iter_random_records(n, p, trials, seed))
 
 
 def oracle_face_count(spec: LevelSpec, colors: int | None = None) -> tuple[int, ...]:

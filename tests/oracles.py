@@ -30,6 +30,23 @@ def sort_revlex(faces):
     return out
 
 
+def kset_rank(face):
+    """0-based rev-lex position via the combinatorial number system."""
+    return sum(comb(v - 1, i) for i, v in enumerate(face, start=1))
+
+
+def kset_unrank(rank, k):
+    """Inverse of ``kset_rank`` for k-sets."""
+    out = []
+    for i in range(k, 0, -1):
+        v = i
+        while comb(v, i) <= rank:
+            v += 1
+        rank -= comb(v - 1, i)
+        out.append(v)
+    return tuple(reversed(out))
+
+
 def brute_closure(facets):
     faces = set()
     for f in facets:

@@ -338,6 +338,21 @@ class TestExitCodes:
             "facevec: usage error: edge probability must be a fraction like 1/2, got '1/0'\n"
         )
 
+    def test_usage_error_non_integer_random_field(self):
+        for argv in (["x", "1/2", "2", "1"], ["3", "1/2", "2.5", "1"], ["3", "1/2", "2", "x"]):
+            for output in ("plain", "records"):
+                code, out, err = invoke(["verify", "--random", *argv, "--output", output])
+                assert code == 2 and out == "", argv
+                bad = next(v for v in argv if v in ("x", "2.5"))
+                assert err == ("facevec: usage error: random verification needs integer"
+                               f" N, TRIALS and SEED, got {bad!r}\n")
+
+    def test_input_error_zero_level_size(self):
+        for colors in ([], ["--colors", "2"]):
+            code, out, err = invoke(["revlex", "--levels", "0:1", *colors])
+            assert code == 3 and out == ""
+            assert err == "facevec: input error: level sizes must be positive: ((0, 1),)\n"
+
     def test_unexpected_exception_exit_is_five(self, monkeypatch):
         import facevec.cli as cli_mod
 

@@ -12,15 +12,16 @@ from facevec import (
     chromatic_number,
     cliques,
     closure,
-    colored_revlex_complex,
     face_vector,
     is_balanced,
     is_flag,
     link,
     one_skeleton,
+    revlex_faces,
 )
 from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded
+from facevec.revlex import residue_colored
 
 from conftest import complete_graph
 from oracles import brute_chromatic, brute_closure, brute_face_vector, brute_is_flag
@@ -138,8 +139,8 @@ class TestLink:
         # bijection: k-faces of the link of v <-> (k+1)-faces containing v
         samples = [clique_complex(g) for g in all_graphs(5)]
         samples += [
-            colored_revlex_complex(LevelSpec.of((2, 9), (3, 7)), 4).complex,
-            colored_revlex_complex(LevelSpec.of((1, 6), (3, 12)), 3).complex,
+            Complex.from_faces(revlex_faces(LevelSpec.of((2, 9), (3, 7)), 4)),
+            Complex.from_faces(revlex_faces(LevelSpec.of((1, 6), (3, 12)), 3)),
         ]
         for cx in samples:
             faces = closure(cx)
@@ -245,16 +246,15 @@ class TestIsBalanced:
         assert is_balanced(Complex.from_faces([()]))
 
     def test_colored_revlex_output_is_balanced_at_full_dimension(self):
-        cc = colored_revlex_complex(LevelSpec.of((2, 5)), 2)
-        assert is_balanced(cc.complex)
+        assert is_balanced(Complex.from_faces(revlex_faces(LevelSpec.of((2, 5)), 2)))
 
 
 class TestCheckColoring:
     def test_colored_revlex_outputs_pass(self):
         for r in (1, 2, 3, 4):
             for m in (0, 1, 5, 20):
-                cc = colored_revlex_complex(LevelSpec.of((min(2, r), m)), r)
-                assert check_coloring(cc)
+                cx = Complex.from_faces(revlex_faces(LevelSpec.of((min(2, r), m)), r))
+                assert check_coloring(residue_colored(cx, r))
 
     def test_monochromatic_edge_fails(self):
         cc = ColoredComplex(

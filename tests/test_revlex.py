@@ -1,29 +1,29 @@
-from functools import cmp_to_key
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from facevec import (
+    Complex,
     LevelSpec,
-    colored_revlex_complex,
     face_vector,
     ffk_bound,
     first_ksets,
     first_permissible_ksets,
     is_permissible,
     kk_shadow_bound,
-    kset_rank,
-    kset_unrank,
     next_kset,
     one_skeleton,
-    revlex_compare,
-    revlex_complex,
+    revlex_faces,
+    revlex_key,
 )
 from facevec.errors import InputFormatError
+from facevec.revlex import residue_colored
 
 from oracles import (
     brute_closure,
+    kset_rank,
+    kset_unrank,
     pairwise_permissible,
     permissible_ksets,
     precedes,
@@ -33,34 +33,36 @@ from oracles import (
 from test_acceptance import Stopwatch
 
 
+def revlex_complex(spec):
+    return Complex.from_faces(revlex_faces(spec))
+
+
+def colored_revlex_complex(spec, r):
+    return residue_colored(Complex.from_faces(revlex_faces(spec, r)), r)
+
+
 class TestCompare:
     def test_paper_anchor_pairs(self):
-        assert revlex_compare((2, 3, 5), (1, 4, 5)) == -1
-        assert revlex_compare((3, 4, 5), (1, 2, 6)) == -1
+        assert revlex_key((2, 3, 5)) < revlex_key((1, 4, 5))
+        assert revlex_key((3, 4, 5)) < revlex_key((1, 2, 6))
 
     def test_equal(self):
-        assert revlex_compare((1, 2), (1, 2)) == 0
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            revlex_compare((1, 2), (1, 2, 3))
+        # keys are equal exactly when the faces are
+        faces = list(combinations(range(1, 8), 3))
+        assert len({revlex_key(f) for f in faces}) == len(faces)
+        assert revlex_key((1, 2)) == revlex_key((1, 2))
 
     def test_agrees_with_symmetric_difference_definition(self):
         for k in (1, 2, 3, 4):
             faces = list(combinations(range(1, 8), k))
             for a in faces:
                 for b in faces:
-                    if a == b:
-                        assert revlex_compare(a, b) == 0
-                    else:
-                        assert (revlex_compare(a, b) == -1) == precedes(a, b)
-                        assert (revlex_compare(a, b) == 1) == precedes(b, a)
+                    assert (revlex_key(a) < revlex_key(b)) == precedes(a, b)
 
     def test_total_order_sorting_matches_enumeration(self):
         for k in (1, 2, 3, 4):
             subsets = list(combinations(range(1, 10), k))
-            by_compare = sorted(subsets, key=cmp_to_key(revlex_compare))
-            assert by_compare == first_ksets(comb(9, k), k)
+            assert sorted(subsets, key=revlex_key) == first_ksets(comb(9, k), k)
 
 
 class TestFirstKsets:
@@ -69,6 +71,18 @@ class TestFirstKsets:
 
     def test_empty(self):
         assert first_ksets(0, 3) == []
+
+    def test_negative_length_rejected_on_cold_and_warm_cache(self):
+        import facevec.revlex as rl
+
+        rl._segments.pop((2, None), None)
+        with pytest.raises(ValueError, match="nonnegative, got -1$"):
+            first_ksets(-1, 2)
+        assert (2, None) not in rl._segments
+        first_ksets(5, 2)
+        with pytest.raises(ValueError, match="nonnegative, got -1$"):
+            first_ksets(-1, 2)
+        assert first_ksets(5, 2) == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)]
 
     def test_singletons(self):
         assert first_ksets(4, 1) == [(1,), (2,), (3,), (4,)]
@@ -133,6 +147,19 @@ class TestFirstPermissible:
     def test_unsatisfiable_rejected(self):
         with pytest.raises(ValueError):
             first_permissible_ksets(1, 5, 3)
+
+    def test_negative_length_rejected_on_cold_and_warm_cache(self):
+        import facevec.revlex as rl
+
+        rl._segments.pop((2, 3), None)
+        with pytest.raises(ValueError, match="nonnegative, got -2$"):
+            first_permissible_ksets(-2, 2, 3)
+        assert (2, 3) not in rl._segments
+        first_permissible_ksets(5, 2, 3)
+        with pytest.raises(ValueError, match="nonnegative, got -2$"):
+            first_permissible_ksets(-2, 2, 3)
+        with pytest.raises(ValueError, match="nonnegative, got -2$"):
+            first_permissible_ksets(-2, 5, 3)
 
     def test_matches_filter_sort_oracle(self):
         for r in range(1, 6):
@@ -226,6 +253,14 @@ class TestLevelSpec:
             LevelSpec.of((3, 5), (3, 6))
         with pytest.raises(ValueError):
             LevelSpec.of((4, 5), (2, 6))
+
+    def test_sizes_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"must be positive: \(\(0, 1\),\)$"):
+            LevelSpec.of((0, 1))
+        with pytest.raises(ValueError, match="must be positive"):
+            LevelSpec.of((2, 1), (-1, 1))
+        with pytest.raises(InputFormatError, match=r"must be positive: \(\(0, 1\),\)$"):
+            LevelSpec.parse("0:1")
 
 
 class TestRevlexComplex:

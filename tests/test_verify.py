@@ -23,7 +23,7 @@ from facevec import (
 from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded
 from facevec.graphs import _clique_counts, _mask_adjacency, packed_clique_rows, unpack_clique_vector
-from facevec.verify import iter_exhaustive_records, random_graph, tally
+from facevec.verify import iter_exhaustive_records, iter_random_records, random_graph, tally
 
 from conftest import complete_graph
 from oracles import brute_cliques_by_size, decode_edge_mask
@@ -65,7 +65,6 @@ class TestExhaustive:
     def test_three_vertices(self):
         report = exhaustive_verify(3)
         assert (report.total, report.passes, report.failures) == (8, 8, ())
-        assert report.records is None
 
     def test_four_vertices(self):
         report = exhaustive_verify(4)
@@ -169,34 +168,34 @@ class TestPackedSweep:
 
 class TestRandom:
     def test_zero_probability_gives_edgeless(self):
-        report = random_verify(6, 0, 10, 3)
-        assert report.passes == 10
-        assert all(r.colors <= 1 for r in report.records)
+        assert random_verify(6, 0, 10, 3).passes == 10
+        assert all(r.colors <= 1 for r in iter_random_records(6, 0, 10, 3))
 
     def test_unit_probability_gives_complete(self):
-        report = random_verify(5, 1, 7, 3)
-        assert report.passes == 7
-        assert all(r.colors == 5 for r in report.records)
+        assert random_verify(5, 1, 7, 3).passes == 7
+        assert all(r.colors == 5 for r in iter_random_records(5, 1, 7, 3))
 
     def test_fraction_strings_accepted(self):
         report = random_verify(8, "1/2", 25, 11)
         assert report.total == 25 and report.ok
 
     def test_same_seed_same_report(self):
-        a = random_verify(9, Fraction(1, 3), 30, 99)
-        b = random_verify(9, Fraction(1, 3), 30, 99)
-        assert a == b
+        # two all-pass reports of one size are equal, so compare the records
+        a = list(iter_random_records(9, Fraction(1, 3), 30, 99))
+        b = list(iter_random_records(9, Fraction(1, 3), 30, 99))
+        assert len(a) == 30 and a == b
+        assert random_verify(9, Fraction(1, 3), 30, 99) == tally(a)
 
     def test_different_seeds_differ(self):
-        a = random_verify(9, "1/2", 10, 1)
-        b = random_verify(9, "1/2", 10, 2)
+        a = list(iter_random_records(9, "1/2", 10, 1))
+        b = list(iter_random_records(9, "1/2", 10, 2))
         assert a != b
 
     def test_trial_keyed_generator_is_stable(self):
         # trial t depends only on (seed, t), not on preceding trials
         g_direct = random_graph(10, Fraction(1, 2), key="5:3")
-        report = random_verify(10, "1/2", 4, 5)
-        assert report.records[3].graph_id == f"g6:{__import__('facevec').graph6_encode(g_direct)}"
+        records = list(iter_random_records(10, "1/2", 4, 5))
+        assert records[3].graph_id == f"g6:{__import__('facevec').graph6_encode(g_direct)}"
 
     def test_probability_out_of_range(self):
         with pytest.raises(ValueError):
@@ -209,12 +208,12 @@ class TestRandom:
     def test_negative_trials(self):
         with pytest.raises(ValueError, match="trials >= 0, got -1$"):
             random_verify(5, "1/2", -1, 1)
-        assert random_verify(5, "1/2", 0, 1) == VerificationReport(0, 0, (), ())
+        assert random_verify(5, "1/2", 0, 1) == VerificationReport(0, 0, ())
 
     def test_report_is_the_tally_of_its_records(self):
-        report = random_verify(7, "1/2", 20, 4)
-        assert len(report.records) == 20
-        assert replace(report, records=None) == tally(report.records)
+        records = list(iter_random_records(7, "1/2", 20, 4))
+        assert len(records) == 20
+        assert random_verify(7, "1/2", 20, 4) == tally(records)
 
 
 class TestTally:
@@ -223,7 +222,7 @@ class TestTally:
         bad = [replace(good, graph_id=f"bad:{i}", balanced_ok=False) for i in range(2)]
         report = tally(iter([bad[0], good, good, bad[1], good]))
         assert (report.total, report.passes, report.failures) == (5, 3, tuple(bad))
-        assert report.records is None and not report.ok
+        assert not report.ok
 
 
 class TestOracleFaceCount:
