@@ -11,6 +11,7 @@ import argparse
 import sys
 import warnings
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -19,7 +20,7 @@ from .complexes import ColoredComplex, complex_and_face_vector, face_vector, vec
 from .construct import ConstructionTrace, construct_balanced, construct_pair
 from .errors import GuardExceeded, InputFormatError, InvariantViolation
 from .graphs import clique_vector, parse_graph
-from .revlex import LevelSpec, residue_colored, revlex_faces, revlex_key
+from .revlex import LevelSpec, residue_colored, revlex_faces
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -59,15 +60,27 @@ def _rep_text(rep: CanonicalRep) -> str:
     return " + ".join(parts)
 
 
-def _sorted_facets(facets):
-    return sorted(facets, key=lambda f: (len(f), revlex_key(f)))
+FACET_BLOCK = 4096  # facet lines per write
+
+
+def _write_facets(facets, out) -> None:
+    """One "facet v1 v2 ..." line per facet, smaller facets first and each
+    size in rev-lex order, written a block of lines at a time."""
+    by_size: dict[int, list] = {}
+    for facet in facets:
+        by_size.setdefault(len(facet), []).append(facet)
+    for size, group in sorted(by_size.items()):
+        if size:  # rev-lex: the reversed tuple, read by a C key
+            group.sort(key=itemgetter(*range(size - 1, -1, -1)))
+        line = ("facet " + " ".join(["%d"] * size) + "\n").__mod__
+        for start in range(0, len(group), FACET_BLOCK):
+            out.write("".join(map(line, group[start:start + FACET_BLOCK])))
 
 
 def _print_complex(cc: ColoredComplex, out) -> None:
     coloring = " ".join(f"{v}:{cc.coloring[v]}" for v in cc.complex.vertices)
     print(f"coloring {coloring}".rstrip(), file=out)
-    for facet in _sorted_facets(cc.complex.facets):
-        print("facet " + " ".join(str(v) for v in facet), file=out)
+    _write_facets(cc.complex.facets, out)
 
 
 def _print_trace(trace: ConstructionTrace, out, depth: int = 0) -> None:
@@ -134,8 +147,7 @@ def _cmd_revlex(args, out) -> int:
     print(f"face-vector {_vec_line(vec)}", file=out)
     if args.emit_faces:
         if args.colors is None:
-            for facet in _sorted_facets(cx.facets):
-                print("facet " + " ".join(str(v) for v in facet), file=out)
+            _write_facets(cx.facets, out)
         else:
             _print_complex(residue_colored(cx, args.colors), out)
     return EXIT_OK

@@ -51,16 +51,20 @@ def construct_pair(g: Graph, r: int, k: int) -> tuple[ColoredComplex, Constructi
     rev-lex complex on r-1 colors, then cone one fresh color-r vertex per
     peeled vertex over an initial segment sized by that vertex's link counts.
     Only the top level is realized; the levels below it are audited through
-    their traces alone.
+    their traces alone.  The guard is read once: the full clique count of g
+    trips it where any count would, and every recount below is of a
+    subgraph, to depth k + 1 at most.
     """
     if r < 1:
         raise ValueError("need a positive color budget")
     if k < 0:
         raise ValueError("need k >= 0")
-    cv = clique_vector(g)
+    cap = face_guard()
+    within = (1 << g.n) - 1
+    cv = _clique_counts(g.adj, within, cap)
     if vec_entry(cv, r + 1) > 0:
         raise ValueError(f"graph has a clique on {r + 1} vertices; budget {r} infeasible")
-    trace = _trace(g, (1 << g.n) - 1, cv, r, k)
+    trace = _trace(g, within, cv, r, k, cap)
 
     # The base is the rev-lex complex of the trace's levels, residue-colored
     # on r-1 colors under a cone; each step's fresh color-r vertex is coned
@@ -72,16 +76,20 @@ def construct_pair(g: Graph, r: int, k: int) -> tuple[ColoredComplex, Constructi
         if k >= 2:
             cone_base += first_permissible_ksets(step.b, k - 1, base_colors)
         faces += [f + (step.added_vertex,) for f in cone_base]
-    cx = Complex.from_faces(faces)
+    # Generated faces, valid by construction: walked without re-validation.
+    cx = Complex(frozenset(_close(faces, min(map(len, faces)), cap)[0]))
     added = {step.added_vertex for step in trace.steps}
     coloring = {v: r if v in added else (v - 1) % base_colors + 1 for v in cx.vertices}
     return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace
 
 
 def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int], r: int,
-           k: int) -> ConstructionTrace:
+           k: int, cap: int) -> ConstructionTrace:
     """Trace of the pair construction on the subgraph of g induced by the
-    vertex mask ``within``, whose clique counts are ``cv``."""
+    vertex mask ``within``, whose clique counts are ``cv`` up to size k + 1
+    at least.  Each level reads c_{k-1}, c_k and c_{k+1} only, so links are
+    counted to depth k and the peeled link, the next level's ``cv``, to
+    depth k + 1."""
     ck, ck1 = vec_entry(cv, k), vec_entry(cv, k + 1)
     if k == 0:
         return ConstructionTrace(kind="vertices", k=0, colors=r,
@@ -91,10 +99,10 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int], r: int,
 
     # Pivot: the vertex in the most (k+1)-cliques, i.e. whose link has the
     # most k-cliques; ties go to the lowest label (labels ascend with bits).
-    cap = face_guard()
     adj = g.adj
     vertices = [i for i in range(g.n) if within >> i & 1]
-    link_count = {i: vec_entry(_clique_counts(adj, adj[i] & within, cap), k) for i in vertices}
+    link_count = {i: vec_entry(_clique_counts(adj, adj[i] & within, cap, k), k)
+                  for i in vertices}
     i0 = min(vertices, key=lambda i: (-link_count[i], i))
     if link_count[i0] == 0:
         raise InvariantViolation("pivot lies in no (k+1)-clique despite c_{k+1} > 0")
@@ -104,18 +112,18 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int], r: int,
     steps: list[tuple[int, int, int]] = []
     current = within
     for i in [i0] + non_neighbors:
-        lv = _clique_counts(adj, adj[i] & current, cap)
+        lv = _clique_counts(adj, adj[i] & current, cap, k)
         steps.append((g.label(i), vec_entry(lv, k), vec_entry(lv, k - 1)))
         current &= ~(1 << i)
 
     # What survives the peeling is the link of v_0.
-    link_cv = _clique_counts(adj, current, cap)
+    link_cv = _clique_counts(adj, current, cap, k + 1)
     ck_link, ck1_link = vec_entry(link_cv, k), vec_entry(link_cv, k + 1)
     if ck1_link >= ck1:
         raise InvariantViolation("peeling failed to reduce the (k+1)-face count")
 
     # Inner induction on the (k+1)-count, over the link's mask.
-    sub = _trace(g, current, link_cv, r - 1, k)
+    sub = _trace(g, current, link_cv, r - 1, k, cap)
 
     # Base levels: the link's counts at (k, k+1), with the (k-1)-level padded
     # up to cover both the forced shadow and every b_i <= c_{k-1}(g).

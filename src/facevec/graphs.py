@@ -108,27 +108,35 @@ class Graph:
         return sum(1 << t for t, (i, j) in enumerate(_lex_pairs(self.n)) if self.adj[i] >> j & 1)
 
 
-def _clique_counts(adj: tuple[int, ...] | list[int], within: int, cap: int) -> list[int]:
+def _clique_counts(adj: tuple[int, ...] | list[int], within: int, cap: int,
+                   depth: int | None = None) -> list[int]:
     """Counts of the cliques among the vertices of the mask ``within`` by size,
-    c_0 = 1; recursive extension on bitmasks."""
-    counts = [0] * (within.bit_count() + 1)
+    c_0 = 1, up to ``depth`` vertices (all sizes when None); recursive
+    extension on bitmasks, where the last level counts its candidates and
+    walks none of them."""
+    if depth is None:
+        depth = within.bit_count()
+    counts = [0] * (depth + 1)
     counts[0] = 1
     total = 1
-    if within:
-        stack = [(within, 0)]
-        while stack:
-            cand, size = stack.pop()
-            nxt_size = size + 1
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                counts[nxt_size] += 1
-                total += 1
-                if total > cap:
-                    raise GuardExceeded(f"clique count exceeds the cap {cap}")
-                rest = cand & adj[b.bit_length() - 1]
-                if rest:
-                    stack.append((rest, nxt_size))
+    stack = [(within, 0)] if depth else []
+    while stack:
+        cand, size = stack.pop()
+        size += 1
+        if size == depth:
+            counts[size] += cand.bit_count()
+            total += cand.bit_count()
+            cand = 0
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            counts[size] += 1
+            total += 1
+            rest = cand & adj[b.bit_length() - 1]
+            if rest:
+                stack.append((rest, size))
+        if total > cap:
+            raise GuardExceeded(f"clique count exceeds the cap {cap}")
     while counts and counts[-1] == 0:
         counts.pop()
     return counts

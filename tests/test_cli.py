@@ -1,9 +1,12 @@
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 
 from facevec.cli import run
+from facevec.graphs import graph6_encode
+from facevec.verify import random_graph
 
 PENTAGON = "5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
 
@@ -116,6 +119,59 @@ class TestGoldenOutputs:
             ["construct", pentagon_file],
         ):
             assert invoke(argv) == invoke(argv)
+
+
+def _sha256(argv):
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def _random_graph_file(tmp_path, n, p, key):
+    path = tmp_path / f"{key}.g6"
+    path.write_text(graph6_encode(random_graph(n, Fraction(p), key)) + "\n")
+    return str(path)
+
+
+class TestGoldenBytes:
+    """sha256 of whole outputs, recorded before the facet writer and the
+    trusted walk replaced the per-facet sort key and re-validation."""
+
+    CONSTRUCT_SHA256 = {
+        (30, "3/4", False): "881359c810128ee31a2cde571492a7c300a6a9de948026a961e86bd5c18d5be7",
+        (30, "3/4", True): "f71e9d6c3f8619c3c12ef63404ed853d5b1350101fda1afd5a15b8e50b765b5f",
+        (40, "1/2", False): "42dc810078844eb84e885a0efa8e0a0313d23b7cfcbf660b5f571c7e274415e0",
+        (40, "1/2", True): "80fe984d5614fa71f9ffe427a85a1e4094fc08aa7f3e70b0a4f4ba074ecd860b",
+    }
+
+    @pytest.mark.parametrize("n, p, trace", sorted(CONSTRUCT_SHA256))
+    def test_construct(self, tmp_path, n, p, trace):
+        path = _random_graph_file(tmp_path, n, p, f"golden:{n}")
+        argv = ["construct", path] + (["--trace"] if trace else [])
+        assert _sha256(argv) == self.CONSTRUCT_SHA256[n, p, trace]
+
+    # G(14, 1/2) with key "golden:14" has clique vector (1, 14, 45, 37, 8)
+    PAIR_SHA256 = [
+        "636560358fd2da40c8e357ea5ef3fd94acc2f9bbf7012473e114d100153f577a",
+        "6fa04c034c103739a82918e57ee786c2af483589812baf8d3bda71e1afcc510a",
+        "bce4f4f5620e738e794b9dc99ea95bd11c1291589768e74b5f912c8c95097154",
+        "5d3d7c3c20c697f48da4062ab3df9120c33a0b0d6395e8cb88f21a939e11833d",
+        "d347b33f6a1df2dcdfc19ca916cd7fa4b79181453a20d2544df1948b8116a308",
+    ]
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_construct_pair_trace(self, tmp_path, k):
+        path = _random_graph_file(tmp_path, 14, "1/2", "golden:14")
+        argv = ["construct-pair", path, "--k", str(k), "--trace"]
+        assert _sha256(argv) == self.PAIR_SHA256[k]
+
+    def test_revlex_emit_faces_plain(self):
+        argv = ["revlex", "--levels", "1:40,3:300,4:500", "--emit-faces"]
+        assert _sha256(argv) == "e59800ed13a0fe1f2fbb781cde12f76b6ff0d4cea5b5dfe559e56432c88286d3"
+
+    def test_revlex_emit_faces_colored(self):
+        argv = ["revlex", "--levels", "1:12,2:45,3:120", "--colors", "3", "--emit-faces"]
+        assert _sha256(argv) == "1bb2456e79c11b8841df34e8ad0e8973b40c86abc13d76c842882720f72b6781"
 
 
 class TestConstructPairCommand:

@@ -19,7 +19,8 @@ from facevec import (
     is_balanced,
     one_skeleton,
 )
-from facevec.complexes import vec_entry
+from facevec import construct as construct_mod
+from facevec.complexes import validate_face, vec_entry
 from facevec.errors import GuardExceeded
 
 from conftest import complete_graph
@@ -144,17 +145,52 @@ class TestConstructPairTrace:
         assert cones == 2
 
     def test_one_complex_per_call(self, monkeypatch):
-        built = []
-        from_faces = Complex.from_faces.__func__
+        # A pair complex is one _close walk outside the trace; the walks inside
+        # it are the padded shadows of the audited levels.
+        depth, built = [0], []
 
-        def counting(cls, faces):
-            built.append(cls)
-            return from_faces(cls, faces)
+        def tracing(*args):
+            depth[0] += 1
+            try:
+                return trace_fn(*args)
+            finally:
+                depth[0] -= 1
 
-        monkeypatch.setattr(Complex, "from_faces", classmethod(counting))
+        def closing(faces, floor, cap):
+            if depth[0] == 0:
+                built.append(floor)
+            return close_fn(faces, floor, cap)
+
+        trace_fn, close_fn = construct_mod._trace, construct_mod._close
+        monkeypatch.setattr(construct_mod, "_trace", tracing)
+        monkeypatch.setattr(construct_mod, "_close", closing)
         _, trace = construct_pair(complete_graph(5), 5, 2)
         assert trace.sub.kind == "cone" and trace.sub.sub.kind == "cone"
         assert len(built) == 1
+
+    def test_generated_faces_are_valid(self, monkeypatch):
+        # construct_pair walks its faces unvalidated; validate_face is the check.
+        walked = []
+        close_fn = construct_mod._close
+
+        def closing(faces, floor, cap):
+            walked.append(faces)
+            return close_fn(faces, floor, cap)
+
+        monkeypatch.setattr(construct_mod, "_close", closing)
+        rng = random.Random(11)
+        graphs = [complete_graph(5), Graph.from_edges(6, [(1, 2), (3, 4), (5, 6)])]
+        graphs += [Graph.from_edge_mask(n, rng.randrange(1 << comb(n, 2)))
+                   for n in (6, 8, 10) for _ in range(6)]
+        for g in graphs:
+            w = max(clique_number(g), 1)
+            for r in (w, w + 1):
+                for k in range(w + 1):
+                    construct_pair(g, r, k)
+        faces = [f for batch in walked for f in batch]
+        assert len(faces) > 1000
+        for f in faces:
+            assert validate_face(f) == f
 
     def test_feasibility_inequalities(self, c5):
         for g, r in [(c5, 2), (complete_graph(4), 4), (Graph.from_edges(6, [(1, 2), (3, 4), (5, 6)]), 2)]:

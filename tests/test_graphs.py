@@ -269,6 +269,39 @@ class TestCliqueDifferential:
                     assert _clique_counts(g.adj, within, CAP) == expected
                     if within == full:
                         assert clique_vector(g) == tuple(expected)
+                    for depth in range(len(expected) + 2):
+                        assert _clique_counts(g.adj, within, CAP, depth) == \
+                            _truncated(expected, depth)
+
+
+def _truncated(counts, depth):
+    """The full counts cut to sizes 0..depth, trailing zeros dropped."""
+    cut = list(counts[:depth + 1])
+    while cut and cut[-1] == 0:
+        cut.pop()
+    return cut
+
+
+class TestDepthBoundedCounts:
+    """A depth-bounded count is the full count, truncated."""
+
+    def test_random_graphs_every_depth(self):
+        rng = random.Random(31)
+        for n in range(0, 23):
+            for p in (0.2, 0.5, 0.8):
+                g = Graph.from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
+                for within in ((1 << n) - 1, rng.randrange(1 << n) if n else 0):
+                    full = _clique_counts(g.adj, within, CAP)
+                    for depth in range(n + 2):
+                        assert _clique_counts(g.adj, within, CAP, depth) == _truncated(full, depth)
+
+    def test_guard_counts_only_the_bounded_sizes(self):
+        g = complete_graph(6)  # 1, 6, 15, 20, 15, 6, 1: 64 cliques in all
+        assert _clique_counts(g.adj, 0b111111, 22, 2) == [1, 6, 15]
+        with pytest.raises(GuardExceeded):
+            _clique_counts(g.adj, 0b111111, 21, 2)
+        with pytest.raises(GuardExceeded):
+            _clique_counts(g.adj, 0b111111, 63)
 
 
 class TestAllGraphs:

@@ -17,6 +17,7 @@ from facevec import (
     revlex_faces,
     revlex_key,
 )
+from facevec.complexes import complex_and_face_vector, validate_face
 from facevec.errors import InputFormatError
 from facevec.revlex import residue_colored
 
@@ -283,6 +284,23 @@ class TestRevlexComplex:
     def test_all_zero_levels_leave_just_the_empty_face(self):
         cx = revlex_complex(LevelSpec.of((2, 0)))
         assert face_vector(cx) == (1,)
+
+
+class TestGeneratedFacesAreValid:
+    """``complex_and_face_vector`` walks ``revlex_faces`` output without
+    validating it; ``validate_face`` checks that output here instead."""
+
+    @pytest.mark.parametrize("colors", [None, 1, 2, 3, 5])
+    def test_every_face_passes_validate_face(self, colors):
+        top = 6 if colors is None else colors
+        specs = [LevelSpec.of((s, m)) for s in range(1, top + 1) for m in (0, 1, 7, 120)]
+        specs += [LevelSpec.of(*((s, 40 * s) for s in range(1, top + 1))),
+                  LevelSpec.of(*((s, 300) for s in range(max(top - 2, 1), top + 1)))]
+        for spec in specs:
+            faces = revlex_faces(spec, colors)
+            for f in faces:
+                assert validate_face(f) == f
+            assert complex_and_face_vector(faces)[0] == Complex.from_faces(faces)
 
 
 class TestColoredRevlexComplex:
