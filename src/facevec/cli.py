@@ -16,10 +16,11 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .combinat import CanonicalRep, ffk_canonical, kk_canonical
-from .complexes import ColoredComplex, complex_and_face_vector, face_vector, vec_entry
-from .construct import ConstructionTrace, construct_balanced, construct_pair
+from .complexes import ColoredComplex, complex_and_face_vector, vec_entry
+from .construct import ConstructionTrace, _construct_pair, construct_balanced
 from .errors import GuardExceeded, InputFormatError, InvariantViolation
 from .graphs import clique_vector, parse_graph
+from .limits import face_guard
 from .revlex import LevelSpec, residue_colored, revlex_faces
 
 EXIT_OK = 0
@@ -169,11 +170,11 @@ def _cmd_construct_pair(args, out) -> int:
     g = _load_graph(args)
     cv = clique_vector(g)
     r = args.r if args.r is not None else max(len(cv) - 1, 1)
-    cc, trace = construct_pair(g, r, args.k)
+    cc, trace, face_vec = _construct_pair(g, r, args.k, cv, 0, face_guard())
     print(f"colors {r}", file=out)
     print(f"k {args.k}", file=out)
     print(f"targets {vec_entry(cv, args.k)} {vec_entry(cv, args.k + 1)}", file=out)
-    print(f"face-vector {_vec_line(face_vector(cc.complex))}", file=out)
+    print(f"face-vector {_vec_line(face_vec)}", file=out)
     _print_complex(cc, out)
     if args.trace:
         _print_trace(trace, out)
@@ -181,11 +182,13 @@ def _cmd_construct_pair(args, out) -> int:
 
 
 def _print_exhaustive_records(n: int, out) -> int:
-    """One record line per graph on n vertices, in mask order; each distinct
-    clique vector's line is formatted once, as a template around the mask."""
+    """One record line per graph on n vertices, in mask order, one write per
+    line; each distinct clique vector's line is formatted once, on its first
+    sight, as a head and a tail around the mask."""
     rows, memo = verify_mod.exhaustive_sweep(n)
     templates: dict[int, tuple[str, str]] = {}
     ok = True
+    write = out.write
     for first, vectors in rows:
         for mask, packed in enumerate(vectors, first):
             template = templates.get(packed)
@@ -193,8 +196,8 @@ def _print_exhaustive_records(n: int, out) -> int:
                 record = replace(memo[packed], graph_id=f"mask:{n}:\0")
                 ok = ok and record.ok
                 head, _, tail = _record_line(record).partition("\0")
-                template = templates[packed] = head, tail
-            print(template[0] + str(mask) + template[1], file=out)
+                template = templates[packed] = head, tail + "\n"
+            write(f"{template[0]}{mask}{template[1]}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -55,13 +55,27 @@ def construct_pair(g: Graph, r: int, k: int) -> tuple[ColoredComplex, Constructi
     trips it where any count would, and every recount below is of a
     subgraph, to depth k + 1 at most.
     """
+    cc, trace, _ = _construct_pair(g, r, k, None, None, face_guard())
+    return cc, trace
+
+
+def _construct_pair(g: Graph, r: int, k: int, cv: tuple[int, ...] | list[int] | None,
+                    floor: int | None, cap: int
+                    ) -> tuple[ColoredComplex, ConstructionTrace, tuple[int, ...]]:
+    """``construct_pair`` and the face vector of its one closure walk.
+
+    ``cv`` is g's full clique vector, counted here when None; the walk stops
+    at ``floor``, the smallest generated face size when None, and the vector
+    reads 0 below it.  The ``construct-pair`` command passes the vector it
+    has counted and floor 0, so it prints the vector of this walk.
+    """
     if r < 1:
         raise ValueError("need a positive color budget")
     if k < 0:
         raise ValueError("need k >= 0")
-    cap = face_guard()
     within = (1 << g.n) - 1
-    cv = _clique_counts(g.adj, within, cap)
+    if cv is None:
+        cv = _clique_counts(g.adj, within, cap)
     if vec_entry(cv, r + 1) > 0:
         raise ValueError(f"graph has a clique on {r + 1} vertices; budget {r} infeasible")
     trace = _trace(g, within, cv, r, k, cap)
@@ -77,10 +91,13 @@ def construct_pair(g: Graph, r: int, k: int) -> tuple[ColoredComplex, Constructi
             cone_base += first_permissible_ksets(step.b, k - 1, base_colors)
         faces += [f + (step.added_vertex,) for f in cone_base]
     # Generated faces, valid by construction: walked without re-validation.
-    cx = Complex(frozenset(_close(faces, min(map(len, faces)), cap)[0]))
+    if floor is None:
+        floor = min(map(len, faces))
+    facets, levels = _close(faces, floor, cap)
+    cx = Complex(frozenset(facets))
     added = {step.added_vertex for step in trace.steps}
     coloring = {v: r if v in added else (v - 1) % base_colors + 1 for v in cx.vertices}
-    return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace
+    return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace, tuple(map(len, levels))
 
 
 def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int], r: int,

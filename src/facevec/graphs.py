@@ -47,8 +47,7 @@ def _graph6_pairs(n: int):
 
 def _mask_adjacency(n: int, mask: int) -> tuple[int, ...]:
     """Neighbor masks of the graph whose edges are the set bits of ``mask``;
-    bits beyond the C(n, 2) pairs are ignored.  Walks the set bits only, as
-    the exhaustive sweep calls this once per 2^(n-1) graphs."""
+    bits beyond the C(n, 2) pairs are ignored.  Walks the set bits only."""
     pairs, picked = _lex_pairs(n), []
     mask &= (1 << len(pairs)) - 1
     while mask:
@@ -145,30 +144,56 @@ def _clique_counts(adj: tuple[int, ...] | list[int], within: int, cap: int,
 LANE = 8  # bits per count in a packed clique vector; c_k <= C(7, 3) = 35 < 2^8
 
 
+def _bit_reversal(width: int) -> list[int]:
+    """``table[m]`` is m with its ``width`` low bits in reverse order."""
+    table = [0]
+    for _ in range(width):
+        table = [r << 1 for r in table] + [r << 1 | 1 for r in table]
+    return table
+
+
+def _extend(sub: list[int], nbrs: int) -> list[int]:
+    """One subset-recursion doubling: a new vertex, adjacent to the index
+    mask ``nbrs``, as the next index bit of ``sub``."""
+    return sub + [s + (sub[m & nbrs] << LANE) for m, s in enumerate(sub)]
+
+
 def packed_clique_rows(n: int):
     """Packed clique vectors of every graph on n <= 7 vertices, in edge-mask order.
 
     Count c_k sits in bits [8k, 8k + 8) of one int, so a vector sum is one
     add.  The low n-1 bits of a mask are vertex 1's pairs and ``mask >> (n-1)``
-    is H = G - 1 in the same order, so c(G) = c(H) + (c(H[N(1)]) << 8).  One
-    subset recursion per H gives every induced vector, S[N] = S[N - u] +
-    (S[N & adj_H(u)] << 8) with u the top vertex of N (the zeta transform of
-    Björklund et al., *Fourier meets Möbius*).  Yields ``(first, vectors)``
-    once per H: ``vectors[low]`` belongs to the mask ``first + low``.
+    is H = G - 1 in the same order, so c(G) = c(H) + (c(H[N(1)]) << 8).  A
+    subset recursion over H gives every induced vector, S[N] = S[N - u] +
+    (S[N & adj_H(u)] << 8) (the zeta transform of Björklund et al., *Fourier
+    meets Möbius*).  It runs from H's highest-numbered vertex down: the pairs
+    of vertex u and above are the high bits of H's mask, so each prefix of
+    those bits is extended once and its ``sub`` list shared by every row
+    below it.  Per row only H's lowest vertex is added.  Top-down, index bit
+    t of ``sub`` is H's vertex n-2-t, so the neighbor masks and the final
+    read go through bit-reversal tables.  Yields ``(first, vectors)`` once
+    per H: ``vectors[low]`` belongs to the mask ``first + low``.
     """
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive generation capped at n <= {EXHAUSTIVE_CAP}")
-    high_parts = 1 << comb(n, 2)
-    if n == 0:
-        yield 0, [1]
+    if n < 2:  # H has no vertex: the vectors (1) and (1, 1)
+        yield 0, [1 + (n << LANE)]
         return
     width = n - 1
-    for high in range(high_parts >> width):
-        sub = [1]
-        for nbrs in _mask_adjacency(width, high):
-            sub += [s + (sub[m & nbrs] << LANE) for m, s in enumerate(sub)]
-        whole = sub[-1]
-        yield high << width, [whole + (s << LANE) for s in sub]
+    # H's vertex u has ``above`` = width-1-u vertices over it; its pairs to
+    # them are the next bits down of H's mask.  Each value of those bits, in
+    # increasing order, is read through the table as a mask of index bits.
+    prefixes = [[1]]
+    for above in range(width - 1):  # vertices width-1 down to 1, shared
+        table = _bit_reversal(above)
+        prefixes = [_extend(sub, nbrs) for sub in prefixes for nbrs in table]
+    last, read, first = _bit_reversal(width - 1), _bit_reversal(width), 0
+    for sub in prefixes:
+        for nbrs in last:  # vertex 0, once per row
+            sub0 = _extend(sub, nbrs)
+            whole = sub0[-1]
+            yield first, [whole + (sub0[m] << LANE) for m in read]
+            first += 1 << width
 
 
 def unpack_clique_vector(packed: int) -> tuple[int, ...]:

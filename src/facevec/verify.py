@@ -166,23 +166,28 @@ def iter_exhaustive_records(n: int):
 def exhaustive_verify(n: int) -> VerificationReport:
     """Verify every labeled graph on n vertices; failures come in mask order.
 
-    Graphs are counted per distinct clique vector; per-graph records are
-    built only for the failing graphs, in the rows that hold them.
+    Graphs are counted per distinct clique vector, whose ``ok`` is read once,
+    on its first sight; per-graph records are built only for the failing
+    graphs, in the rows that hold them.
     """
     rows, memo = exhaustive_sweep(n)
+    passed: dict[int, bool] = {}  # packed -> memo[packed].ok
     total = passes = 0
     failures: list[GraphRecord] = []
     for first, vectors in rows:
         failing = False
         for packed, graphs in Counter(vectors).items():  # first sights in mask order
             total += graphs
-            if memo[packed].ok:
+            ok = passed.get(packed)
+            if ok is None:
+                ok = passed[packed] = memo[packed].ok
+            if ok:
                 passes += graphs
             else:
                 failing = True
         if failing:
             failures += [replace(memo[packed], graph_id=f"mask:{n}:{mask}")
-                         for mask, packed in enumerate(vectors, first) if not memo[packed].ok]
+                         for mask, packed in enumerate(vectors, first) if not passed[packed]]
     return VerificationReport(total, passes, tuple(failures))
 
 

@@ -280,6 +280,22 @@ class TestVerifyCommand:
         assert [line.split()[1] for line in out.splitlines()[1:]] == [
             "graph=mask:3:1", "graph=mask:3:2", "graph=mask:3:4"]
 
+    def test_exhaustive_record_keeps_percent_signs(self, monkeypatch):
+        # each vector's line is formatted once, around the mask; a % or %d
+        # in the record must come out as itself
+        import facevec.verify as verify_mod
+        from dataclasses import replace
+        from facevec.cli import _record_line
+
+        real = verify_mod._verified_record
+        monkeypatch.setattr(verify_mod, "_verified_record", lambda cv, gid: replace(
+            real(cv, gid), error=f"100% of %d and %s at {cv[-1]}%"))
+        code, out, err = invoke(["verify", "--exhaustive", "3", "--output", "records"])
+        assert (code, err) == (1, "")
+        expected = [_record_line(rec) for rec in verify_mod.iter_exhaustive_records(3)]
+        assert out.splitlines() == expected
+        assert expected[1].endswith(" error=100% of %d and %s at 1%")
+
     def test_duplicate_edge_is_one_warning_line(self, monkeypatch):
         import sys
 

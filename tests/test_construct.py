@@ -240,6 +240,20 @@ class TestConstructPairSweeps:
                 for k in range(0, r + 1):
                     assert_pair_contract(g, r, k)
 
+    def test_walk_to_the_empty_face_gives_the_face_vector(self):
+        # the construct-pair command passes its own count and floor 0, and
+        # prints the vector of the construction's one walk
+        rng = random.Random(12)
+        for n in (5, 7, 9):
+            for _ in range(5):
+                g = Graph.from_edge_mask(n, rng.randrange(1 << comb(n, 2)))
+                cv = clique_vector(g)
+                r = max(len(cv) - 1, 1)
+                for k in range(0, r + 1):
+                    cc, trace = construct_pair(g, r, k)
+                    got = construct_mod._construct_pair(g, r, k, cv, 0, 10**7)
+                    assert got == (cc, trace, brute_face_vector(brute_closure(cc.complex.facets)))
+
 
 class TestConstructBalanced:
     def test_complete_graph_gives_simplex_counts(self):
