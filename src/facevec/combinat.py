@@ -178,6 +178,7 @@ def ffk_canonical(m: int, k: int, r: int) -> CanonicalRep:
     return _canonical(m, k, r)
 
 
+@lru_cache(maxsize=4096)  # the pair construction re-checks the same few counts
 def ffk_bound(m: int, k: int, r: int) -> int:
     """Maximum count of (k+1)-faces in an r-colorable complex with m k-faces."""
     return ffk_canonical(m, k, r).successor_bound()

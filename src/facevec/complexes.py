@@ -8,7 +8,8 @@ empty facet set and reports the empty face vector ().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, groupby
 from math import comb
 
 from . import graphs
@@ -50,8 +51,10 @@ class Complex:
         pool = [validate_face(f) for f in faces]
         return cls(frozenset(_close(pool, min(map(len, pool), default=0), face_guard())[0]))
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[int, ...]:
+        """Sorted labels of every vertex; scanned once per complex, and not
+        part of equality or hashing, which stay on ``facets``."""
         return tuple(sorted({v for f in self.facets for v in f}))
 
     @property
@@ -82,8 +85,8 @@ def _close(faces, floor: int, cap: int) -> tuple[set[Face], list[set[Face]]]:
     than ``cap`` faces, or up front when one level of the largest face would.
     """
     given: dict[int, set[Face]] = {}
-    for f in faces:
-        given.setdefault(len(f), set()).add(f)
+    for size, run in groupby(faces, len):
+        given.setdefault(size, set()).update(run)
     top = max(given, default=-1)
     if top >= 0 and comb(top, max(floor, top // 2)) > cap:
         raise GuardExceeded(f"closure exceeds the face cap {cap}")

@@ -9,6 +9,7 @@ single multi-level colored rev-lex complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .combinat import ffk_bound
 from .complexes import ColoredComplex, Complex, _close, complex_and_face_vector, vec_entry
@@ -78,7 +79,7 @@ def _construct_pair(g: Graph, r: int, k: int, cv: tuple[int, ...] | list[int] | 
         cv = _clique_counts(g.adj, within, cap)
     if vec_entry(cv, r + 1) > 0:
         raise ValueError(f"graph has a clique on {r + 1} vertices; budget {r} infeasible")
-    trace = _trace(g, within, cv, r, k, cap)
+    trace = _trace(g, within, cv, None, r, k, cap)
 
     # The base is the rev-lex complex of the trace's levels, residue-colored
     # on r-1 colors under a cone; each step's fresh color-r vertex is coned
@@ -100,13 +101,17 @@ def _construct_pair(g: Graph, r: int, k: int, cv: tuple[int, ...] | list[int] | 
     return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace, tuple(map(len, levels))
 
 
-def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int], r: int,
-           k: int, cap: int) -> ConstructionTrace:
+def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
+           credit: list[int] | None, r: int, k: int, cap: int) -> ConstructionTrace:
     """Trace of the pair construction on the subgraph of g induced by the
     vertex mask ``within``, whose clique counts are ``cv`` up to size k + 1
-    at least.  Each level reads c_{k-1}, c_k and c_{k+1} only, so links are
-    counted to depth k and the peeled link, the next level's ``cv``, to
-    depth k + 1."""
+    at least; ``credit[i]`` is the count of (k+1)-cliques of that subgraph
+    through vertex i, from one credited pass (made here when None).
+
+    Each level makes one credited pass, over the pivot's surviving link to
+    depth k + 1.  It gives the next level's ``cv`` and credits and the
+    pivot's own step; only the peeled non-neighbors are recounted, to
+    depth k.  Each level reads c_{k-1}, c_k and c_{k+1} only."""
     ck, ck1 = vec_entry(cv, k), vec_entry(cv, k + 1)
     if k == 0:
         return ConstructionTrace(kind="vertices", k=0, colors=r,
@@ -115,42 +120,44 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int], r: int,
         return ConstructionTrace(kind="flat", k=k, colors=r, base_levels=((k, ck),))
 
     # Pivot: the vertex in the most (k+1)-cliques, i.e. whose link has the
-    # most k-cliques; ties go to the lowest label (labels ascend with bits).
+    # most k-cliques; ties go to the lowest label (labels ascend with bits),
+    # and vertices outside ``within`` carry no credit.
     adj = g.adj
-    vertices = [i for i in range(g.n) if within >> i & 1]
-    link_count = {i: vec_entry(_clique_counts(adj, adj[i] & within, cap, k), k)
-                  for i in vertices}
-    i0 = min(vertices, key=lambda i: (-link_count[i], i))
-    if link_count[i0] == 0:
+    if credit is None:
+        credit = [0] * g.n
+        _clique_counts(adj, within, cap, k + 1, credit)
+    i0 = max(range(g.n), key=credit.__getitem__)
+    if credit[i0] == 0:
         raise InvariantViolation("pivot lies in no (k+1)-clique despite c_{k+1} > 0")
-    non_neighbors = [i for i in vertices if i != i0 and not adj[i0] >> i & 1]
+    others = within & ~adj[i0] & ~(1 << i0)
+    non_neighbors = [i for i in range(g.n) if others >> i & 1]
 
-    # Peel v_0, v_1, ..., v_s, recording each peeled vertex's link counts.
-    steps: list[tuple[int, int, int]] = []
-    current = within
-    for i in [i0] + non_neighbors:
-        lv = _clique_counts(adj, adj[i] & current, cap, k)
-        steps.append((g.label(i), vec_entry(lv, k), vec_entry(lv, k - 1)))
-        current &= ~(1 << i)
-
-    # What survives the peeling is the link of v_0.
-    link_cv = _clique_counts(adj, current, cap, k + 1)
+    # What survives the peeling is the link of v_0; its one credited pass
+    # also gives v_0's own step, the counts of the same link.
+    current = within & adj[i0]
+    link_credit = [0] * g.n
+    link_cv = _clique_counts(adj, current, cap, k + 1, link_credit)
     ck_link, ck1_link = vec_entry(link_cv, k), vec_entry(link_cv, k + 1)
     if ck1_link >= ck1:
         raise InvariantViolation("peeling failed to reduce the (k+1)-face count")
 
+    # Peel v_0, v_1, ..., v_s, recording each peeled vertex's link counts.
+    steps = [(g.label(i0), ck_link, vec_entry(link_cv, k - 1))]
+    peeled = within & ~(1 << i0)
+    for i in non_neighbors:
+        lv = _clique_counts(adj, adj[i] & peeled, cap, k)
+        steps.append((g.label(i), vec_entry(lv, k), vec_entry(lv, k - 1)))
+        peeled &= ~(1 << i)
+
     # Inner induction on the (k+1)-count, over the link's mask.
-    sub = _trace(g, current, link_cv, r - 1, k, cap)
+    sub = _trace(g, current, link_cv, link_credit, r - 1, k, cap)
 
     # Base levels: the link's counts at (k, k+1), with the (k-1)-level padded
     # up to cover both the forced shadow and every b_i <= c_{k-1}(g).
     entries: list[tuple[int, int]] = []
     pad = 0
     if k >= 2:
-        segments = first_permissible_ksets(ck_link, k, r - 1)
-        segments += first_permissible_ksets(ck1_link, k + 1, r - 1)
-        _, shadow = _close(segments, k - 1, cap)
-        pad = max(vec_entry(cv, k - 1), len(shadow[k - 1]))
+        pad = max(vec_entry(cv, k - 1), _shadow_count(ck_link, ck1_link, k, r - 1, cap))
         entries.append((k - 1, pad))
         if ffk_bound(pad, k - 1, r - 1) < ck_link:
             raise InvariantViolation("padded level cannot support the link's k-faces")
@@ -186,6 +193,16 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int], r: int,
         steps=tuple(recorded),
         sub=sub,
     )
+
+
+@lru_cache(maxsize=1024)  # links of equal counts recur across levels and graphs
+def _shadow_count(ck: int, ck1: int, k: int, colors: int, cap: int) -> int:
+    """Size of the (k-1)-shadow of the first ``ck`` permissible k-sets and
+    the first ``ck1`` permissible (k+1)-sets on ``colors`` colors, from one
+    walk of their closure down to size k - 1 under ``cap``."""
+    segments = first_permissible_ksets(ck, k, colors)
+    segments += first_permissible_ksets(ck1, k + 1, colors)
+    return len(_close(segments, k - 1, cap)[1][k - 1])
 
 
 @dataclass(frozen=True)

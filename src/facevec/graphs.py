@@ -108,23 +108,39 @@ class Graph:
 
 
 def _clique_counts(adj: tuple[int, ...] | list[int], within: int, cap: int,
-                   depth: int | None = None) -> list[int]:
+                   depth: int | None = None, credit: list[int] | None = None) -> list[int]:
     """Counts of the cliques among the vertices of the mask ``within`` by size,
     c_0 = 1, up to ``depth`` vertices (all sizes when None); recursive
     extension on bitmasks, where the last level counts its candidates and
-    walks none of them."""
+    walks none of them.
+
+    With a ``credit`` list, indexed by vertex, the last level also adds its
+    candidate count to each member of its prefix clique and 1 to each
+    candidate, so ``credit[i]`` gains the number of ``depth``-cliques through
+    vertex i: the clique count of its link one level down, for every vertex
+    at once."""
     if depth is None:
         depth = within.bit_count()
     counts = [0] * (depth + 1)
     counts[0] = 1
     total = 1
-    stack = [(within, 0)] if depth else []
+    stack = [(within, 0, 0)] if depth else []
     while stack:
-        cand, size = stack.pop()
+        cand, size, prefix = stack.pop()
         size += 1
         if size == depth:
-            counts[size] += cand.bit_count()
-            total += cand.bit_count()
+            last = cand.bit_count()
+            counts[size] += last
+            total += last
+            if credit is not None:
+                while prefix:
+                    b = prefix & -prefix
+                    prefix ^= b
+                    credit[b.bit_length() - 1] += last
+                while cand:
+                    b = cand & -cand
+                    cand ^= b
+                    credit[b.bit_length() - 1] += 1
             cand = 0
         while cand:
             b = cand & -cand
@@ -133,7 +149,7 @@ def _clique_counts(adj: tuple[int, ...] | list[int], within: int, cap: int,
             total += 1
             rest = cand & adj[b.bit_length() - 1]
             if rest:
-                stack.append((rest, size))
+                stack.append((rest, size, prefix | b))
         if total > cap:
             raise GuardExceeded(f"clique count exceeds the cap {cap}")
     while counts and counts[-1] == 0:

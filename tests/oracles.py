@@ -128,6 +128,26 @@ def brute_cliques_by_size(n, edges):
     return tuple(counts)
 
 
+def cliques_through_each_vertex(adj, within, depth):
+    """Per vertex index i, the count of cliques on ``depth`` vertices of the
+    mask ``within`` that contain i (0 outside the mask), by one recount of
+    each vertex's link to depth - 1 vertices: the slow path that a credited
+    clique count replaces."""
+
+    def count(cand, left):  # cliques on exactly ``left`` more vertices of cand
+        if left == 0:
+            return 1
+        total = 0
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            total += count(cand & adj[b.bit_length() - 1], left - 1)
+        return total
+
+    return [count(adj[i] & within, depth - 1) if within >> i & 1 else 0
+            for i in range(len(adj))]
+
+
 def neighbors(v, edges):
     """Labels adjacent to v."""
     return {u for e in edges if v in e for u in e if u != v}

@@ -53,6 +53,21 @@ class TestComplexConstruction:
         assert closure(empty) == set() and closure(point) == {()}
         assert Complex.from_faces([(), ()]) == point
 
+    def test_vertices_scanned_once_and_outside_equality(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            faces = [tuple(sorted(rng.sample(range(1, 15), rng.randrange(0, 5))))
+                     for _ in range(rng.randrange(0, 8))]
+            cx = Complex.from_faces(faces)
+            assert cx.vertices == tuple(sorted({v for f in faces for v in f}))
+            assert cx.vertices is cx.vertices
+            # a twin whose vertices were never read is still equal, hash and all
+            twin = Complex(frozenset(cx.facets))
+            assert twin == cx and hash(twin) == hash(cx)
+            assert twin.vertices == cx.vertices
+        with pytest.raises(AttributeError):
+            cx.facets = frozenset()
+
     def test_incomparable_facets_kept(self):
         cx = Complex.from_faces([(1, 2), (2, 3), (1, 3)])
         assert cx.facets == frozenset({(1, 2), (2, 3), (1, 3)})

@@ -1,5 +1,12 @@
+import hashlib
+import inspect
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -19,9 +26,14 @@ from facevec import (
     is_balanced,
     one_skeleton,
 )
+import facevec
 from facevec import construct as construct_mod
+from facevec.combinat import ffk_bound
 from facevec.complexes import validate_face, vec_entry
 from facevec.errors import GuardExceeded
+from facevec.limits import DEFAULT_FACE_GUARD as CAP
+from facevec.revlex import first_permissible_ksets
+from facevec.verify import random_graph
 
 from conftest import complete_graph
 from oracles import (brute_cliques_by_size, brute_closure, brute_face_vector,
@@ -253,6 +265,103 @@ class TestConstructPairSweeps:
                     cc, trace = construct_pair(g, r, k)
                     got = construct_mod._construct_pair(g, r, k, cv, 0, 10**7)
                     assert got == (cc, trace, brute_face_vector(brute_closure(cc.complex.facets)))
+
+
+def _pair_outcome(g, r, k):
+    """What one construct_pair call gives: its trace, facets and coloring, or
+    the message of the guard it trips."""
+    try:
+        cc, trace = construct_pair(g, r, k)
+    except GuardExceeded as exc:
+        return f"GuardExceeded: {exc}"
+    return repr(trace), sorted(cc.complex.facets), sorted(cc.coloring.items())
+
+
+# sha256 over the outcomes of every pair construction on pairgold graphs,
+# recorded before the credited pivot pass and the memos went in.
+PAIR_GOLDEN_SHA256 = "4766e1e8648b478db129a010e7c9944af0ab8cd919b0786f1e3b2dcc34a2298f"
+
+# One process per guard value: the fresh-process reference for the memos.
+_FRESH_OUTCOMES = """
+import json
+from fractions import Fraction
+from facevec import construct_pair
+from facevec.errors import GuardExceeded
+from facevec.verify import random_graph
+{outcome}
+g = random_graph(12, Fraction(3, 4), "pairguard:0")
+print(json.dumps([_pair_outcome(g, 6, k) for k in range(1, 7)]))
+"""
+
+
+class TestPairGoldenAndMemos:
+    def test_golden_trace_digest(self):
+        digest, cases = hashlib.sha256(), 0
+        for i in range(40):
+            g = random_graph(16, Fraction(1, 2), f"pairgold:{i}")
+            w = clique_number(g)
+            for r in (w, w + 1):
+                for k in range(w + 2):
+                    trace, facets, coloring = _pair_outcome(g, r, k)
+                    digest.update(f"{trace}{facets!r}{coloring!r}".encode())
+                    cases += 1
+        assert cases == 550
+        assert digest.hexdigest() == PAIR_GOLDEN_SHA256
+
+    def test_warm_memos_change_nothing(self):
+        construct_mod._shadow_count.cache_clear()
+        ffk_bound.cache_clear()
+        g = random_graph(14, Fraction(2, 3), "pairmemo:0")
+        r = clique_number(g)
+        cold = [_pair_outcome(g, r, k) for k in range(r + 1)]
+        for i in range(1, 6):  # unrelated calls fill the memos
+            other = random_graph(14, Fraction(2, 3), f"pairmemo:{i}")
+            for k in range(clique_number(other) + 1):
+                construct_pair(other, clique_number(other) + 1, k)
+        assert construct_mod._shadow_count.cache_info().hits > 0
+        assert ffk_bound.cache_info().hits > 0
+        assert [_pair_outcome(g, r, k) for k in range(r + 1)] == cold
+
+    def test_guard_switches_match_fresh_processes(self, monkeypatch):
+        # 300 passes the clique count of this graph but trips two of the
+        # walks; the memos key on the cap and never keep a trip.
+        script = _FRESH_OUTCOMES.format(outcome=inspect.getsource(_pair_outcome))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(facevec.__file__)))
+        fresh = {}
+        for guard in ("1000", "300", "200"):
+            env["FACEVEC_GUARD"] = guard
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            fresh[guard] = [o if isinstance(o, str) else (o[0], [tuple(f) for f in o[1]],
+                                                          [tuple(c) for c in o[2]])
+                            for o in json.loads(proc.stdout)]
+        assert any(isinstance(o, str) and "closure" in o for o in fresh["300"])
+        assert any(isinstance(o, str) and "clique count" in o for o in fresh["200"])
+        construct_mod._shadow_count.cache_clear()
+        ffk_bound.cache_clear()
+        g = random_graph(12, Fraction(3, 4), "pairguard:0")
+        for guard in ("1000", "300", "200", "300", "1000", "300"):
+            monkeypatch.setenv("FACEVEC_GUARD", guard)
+            assert [_pair_outcome(g, 6, k) for k in range(1, 7)] == fresh[guard]
+
+    def test_shadow_count_is_the_walk_it_wraps(self):
+        # as in the pair construction: the link holds k-faces, on enough colors
+        for colors in range(2, 6):
+            for k in range(2, colors + 1):
+                for ck in range(1, 30, 3):
+                    for ck1 in range(0, 12, 2) if k < colors else (0,):
+                        segments = first_permissible_ksets(ck, k, colors)
+                        segments += first_permissible_ksets(ck1, k + 1, colors)
+                        walked = len(construct_mod._close(segments, k - 1, CAP)[1][k - 1])
+                        assert construct_mod._shadow_count(ck, ck1, k, colors, CAP) == walked
+
+    def test_shadow_count_keeps_no_trip(self):
+        construct_mod._shadow_count.cache_clear()
+        with pytest.raises(GuardExceeded):
+            construct_mod._shadow_count(40, 20, 3, 4, 30)
+        assert construct_mod._shadow_count(40, 20, 3, 4, CAP) > 0
+        with pytest.raises(GuardExceeded):
+            construct_mod._shadow_count(40, 20, 3, 4, 30)
 
 
 class TestConstructBalanced:

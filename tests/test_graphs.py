@@ -22,7 +22,8 @@ from facevec.graphs import _clique_counts
 from facevec.limits import DEFAULT_FACE_GUARD as CAP
 
 from conftest import complete_graph
-from oracles import brute_cliques_by_size, decode_edge_mask, decode_graph6, edge_mask_pairs
+from oracles import (brute_cliques_by_size, cliques_through_each_vertex, decode_edge_mask,
+                     decode_graph6, edge_mask_pairs)
 
 
 class TestParseEdgeList:
@@ -302,6 +303,66 @@ class TestDepthBoundedCounts:
             _clique_counts(g.adj, 0b111111, 21, 2)
         with pytest.raises(GuardExceeded):
             _clique_counts(g.adj, 0b111111, 63)
+
+
+def _credited(adj, within, depth):
+    """The counts and credits of one credited pass."""
+    credit = [0] * len(adj)
+    return _clique_counts(adj, within, CAP, depth, credit), credit
+
+
+class TestCreditedCounts:
+    """One credited pass gives each vertex its count of depth-cliques, as one
+    recount of each vertex's link does, and leaves the counts as they were."""
+
+    def test_random_graphs_and_masks_every_depth(self):
+        rng = random.Random(2024)
+        for n in range(0, 19):
+            for p in (0.3, 0.6, 0.9):
+                g = Graph.from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
+                for within in ((1 << n) - 1, rng.randrange(1 << n) if n else 0):
+                    for depth in range(2, n + 2):
+                        counts, credit = _credited(g.adj, within, depth)
+                        assert counts == _clique_counts(g.adj, within, CAP, depth)
+                        assert credit == cliques_through_each_vertex(g.adj, within, depth)
+                        assert sum(credit) == depth * vec_entry(counts, depth)
+
+    def test_matches_the_per_vertex_link_recount(self):
+        # the recount the pair construction made before: one count per vertex
+        # of its link within the mask, one level down
+        rng = random.Random(8)
+        for n in (6, 10, 14):
+            g = Graph.from_edge_mask(n, rng.randrange(1 << comb(n, 2)))
+            within = rng.randrange(1 << n)
+            for depth in range(2, n + 2):
+                _, credit = _credited(g.adj, within, depth)
+                recount = [vec_entry(_clique_counts(g.adj, g.adj[i] & within, CAP, depth - 1),
+                                     depth - 1) if within >> i & 1 else 0 for i in range(n)]
+                assert credit == recount
+
+    def test_hypothesis_graphs_and_masks(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        cases = st.integers(0, 13).flatmap(lambda n: st.tuples(
+            st.just(n), st.integers(0, (1 << comb(n, 2)) - 1),
+            st.integers(0, (1 << n) - 1), st.integers(2, n + 2)))
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+        @hyp.given(cases)
+        def check(case):
+            n, mask, within, depth = case
+            g = Graph.from_edge_mask(n, mask)
+            counts, credit = _credited(g.adj, within, depth)
+            assert counts == _clique_counts(g.adj, within, CAP, depth)
+            assert credit == cliques_through_each_vertex(g.adj, within, depth)
+
+        check()
+
+    def test_credits_add_to_the_list_given(self):
+        g = complete_graph(4)
+        credit = [5, 0, 0, 0]
+        assert _clique_counts(g.adj, 0b1111, CAP, 3, credit) == [1, 4, 6, 4]
+        assert credit == [8, 3, 3, 3]
 
 
 class TestAllGraphs:
