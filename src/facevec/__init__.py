@@ -8,24 +8,19 @@ brute-force harness that re-verifies all of it at small scale.
 """
 from .combinat import (
     CanonicalRep,
-    binom,
     ffk_bound,
     ffk_canonical,
     kk_canonical,
     kk_shadow_bound,
     turan_binom,
-    turan_parts,
 )
 from .complexes import (
     ColoredComplex,
     Complex,
     check_coloring,
     chromatic_number,
-    closure,
     face_vector,
     is_balanced,
-    is_flag,
-    link,
     one_skeleton,
 )
 from .construct import (
@@ -39,19 +34,14 @@ from .construct import (
 from .errors import GuardExceeded, InputFormatError, InvariantViolation
 from .graphs import (
     Graph,
-    all_graphs,
-    clique_number,
     clique_vector,
-    cliques,
     graph6_encode,
     parse_graph,
-    turan_graph,
 )
 from .revlex import (
     LevelSpec,
     first_ksets,
     first_permissible_ksets,
-    is_permissible,
     next_kset,
     revlex_faces,
     revlex_key,
@@ -81,14 +71,9 @@ __all__ = [
     "LevelSpec",
     "TraceStep",
     "VerificationReport",
-    "all_graphs",
-    "binom",
     "check_coloring",
     "chromatic_number",
-    "clique_number",
     "clique_vector",
-    "cliques",
-    "closure",
     "construct_balanced",
     "construct_from_vector",
     "construct_pair",
@@ -100,11 +85,8 @@ __all__ = [
     "first_permissible_ksets",
     "graph6_encode",
     "is_balanced",
-    "is_flag",
-    "is_permissible",
     "kk_canonical",
     "kk_shadow_bound",
-    "link",
     "next_kset",
     "one_skeleton",
     "oracle_face_count",
@@ -113,7 +95,5 @@ __all__ = [
     "revlex_faces",
     "revlex_key",
     "turan_binom",
-    "turan_graph",
-    "turan_parts",
     "verify_graph",
 ]

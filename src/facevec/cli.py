@@ -3,11 +3,13 @@
 Primary results go to stdout, diagnostics to stderr.  Exit statuses:
 0 success, 1 verification failure found, 2 usage error, 3 input format
 error, 4 resource guard exceeded, 5 internal invariant violation or any
-other unexpected error.
+other unexpected error.  A reader that closes stdout early ends the command
+with 0 and no message.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -121,25 +123,19 @@ def _cmd_cliquevec(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_kk_bound(args, out) -> int:
-    rep = kk_canonical(args.m, args.k)
-    print(f"{args.m} = {_rep_text(rep)}; bound = {rep.successor_bound()}", file=out)
-    return EXIT_OK
+def _canonical_rep(args) -> CanonicalRep:
+    """The plain expansion of --m at --k, or the colored one when --r is set."""
+    return kk_canonical(args.m, args.k) if args.r is None else ffk_canonical(args.m, args.k, args.r)
 
 
-def _cmd_ffk_bound(args, out) -> int:
-    rep = ffk_canonical(args.m, args.k, args.r)
+def _cmd_bound(args, out) -> int:
+    rep = _canonical_rep(args)
     print(f"{args.m} = {_rep_text(rep)}; bound = {rep.successor_bound()}", file=out)
     return EXIT_OK
 
 
 def _cmd_canonical(args, out) -> int:
-    rep = (
-        kk_canonical(args.m, args.k)
-        if args.r is None
-        else ffk_canonical(args.m, args.k, args.r)
-    )
-    print(_rep_text(rep), file=out)
+    print(_rep_text(_canonical_rep(args)), file=out)
     return EXIT_OK
 
 
@@ -217,7 +213,7 @@ def _random_int(text: str) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if (args.graph, args.exhaustive, args.random).count(None) < 2:
+    if (args.graph, args.exhaustive, args.random).count(None) != 2:
         raise ValueError("verify takes one of <graph>, --exhaustive or --random")
     if args.exhaustive is not None:
         if args.output == "records":
@@ -227,10 +223,8 @@ def _cmd_verify(args, out) -> int:
         n, p, trials, seed = args.random
         records = verify_mod.iter_random_records(
             _random_int(n), p, _random_int(trials), _random_int(seed))
-    elif args.graph is not None:
-        records = [verify_mod.verify_graph(_load_graph(args))]
     else:
-        raise InputFormatError("verify needs a graph, --exhaustive or --random")
+        records = [verify_mod.verify_graph(_load_graph(args))]
     if args.output == "plain":
         return _print_summary(verify_mod.tally(records), out)
     ok = True
@@ -260,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kk-bound", help="canonical representation and shadow bound")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_kk_bound)
+    p.set_defaults(func=_cmd_bound, r=None)
 
     p = sub.add_parser("ffk-bound", help="colored canonical representation and bound")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_ffk_bound)
+    p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("canonical", help="print the canonical term list only")
     p.add_argument("--m", type=int, required=True)
@@ -327,6 +321,8 @@ def run(argv: list[str], out=None, err=None) -> int:
         except ValueError as exc:
             print(f"facevec: usage error: {exc}", file=err)
             return EXIT_USAGE
+        except BrokenPipeError:  # the reader has gone: ``main`` ends quietly
+            raise
         except Exception as exc:  # last resort: one line and exit 5, never a traceback
             print(f"facevec: internal error: {type(exc).__name__}: {exc}", file=err)
             return EXIT_INVARIANT
@@ -336,4 +332,12 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A closed stdout pipe (``| head``) is a normal end: point stdout at
+        # the null device so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)

@@ -19,17 +19,6 @@ from math import comb, exp, lgamma, log
 from .errors import InvariantViolation
 
 
-def binom(n: int, k: int) -> int:
-    """C(n, k) with exact arbitrary-precision arithmetic; 0 when k > n."""
-    return comb(n, k)
-
-
-def turan_parts(n: int, r: int) -> list[int]:
-    """Sizes of the r parts of n vertices split as evenly as possible, non-increasing."""
-    q, rem = divmod(n, r)
-    return [q + 1] * rem + [q] * (r - rem)
-
-
 @lru_cache(maxsize=1 << 14)  # values recur across nearby descents and their bounds
 def turan_binom(n: int, k: int, r: int) -> int:
     """Number of k-cliques of the balanced complete r-partite graph on n vertices.

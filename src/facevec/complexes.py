@@ -107,11 +107,6 @@ def _close(faces, floor: int, cap: int) -> tuple[set[Face], list[set[Face]]]:
     return facets, levels[:-1]
 
 
-def closure(c: Complex) -> set[Face]:
-    """Materialize every face of the complex, empty face included."""
-    return set().union(*_close(c.facets, 0, face_guard())[1])
-
-
 def face_vector(c: Complex) -> FaceVector:
     """Exact face counts (c_0, c_1, ..., c_d) of the closure; () when empty."""
     return tuple(map(len, _close(c.facets, 0, face_guard())[1]))
@@ -129,16 +124,6 @@ def complex_and_face_vector(faces) -> tuple[Complex, FaceVector]:
     return Complex(frozenset(facets)), tuple(map(len, levels))
 
 
-def link(c: Complex, face: Face) -> Complex:
-    """Complex of faces disjoint from ``face`` whose union with it is a face."""
-    face = validate_face(face)
-    fs = set(face)
-    hits = [tuple(v for v in facet if v not in fs) for facet in c.facets if fs <= set(facet)]
-    if not hits:
-        raise ValueError(f"{face} is not a face of the complex")
-    return Complex.from_faces(hits)
-
-
 def one_skeleton(c: Complex) -> graphs.Graph:
     """Underlying graph: all vertices, edges = two-element faces."""
     verts = c.vertices
@@ -146,15 +131,6 @@ def one_skeleton(c: Complex) -> graphs.Graph:
     pairs = ((index[u], index[w]) for facet in c.facets for u, w in combinations(facet, 2))
     labels = None if verts == tuple(range(1, len(verts) + 1)) else verts
     return graphs.Graph(n=len(verts), adj=graphs._adjacency(len(verts), pairs), labels=labels)
-
-
-def is_flag(c: Complex) -> bool:
-    """True iff the complex equals the clique complex of its own 1-skeleton.
-
-    Every face is a clique of the skeleton, so the two are equal exactly when
-    their face vectors are.
-    """
-    return not c.facets or face_vector(c) == graphs.clique_vector(one_skeleton(c))
 
 
 def chromatic_number(g: graphs.Graph) -> int:

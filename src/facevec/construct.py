@@ -168,8 +168,9 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
     levels = LevelSpec.of(*entries)
 
     # One fresh color-r vertex per peeled vertex, latest peel first, above
-    # the base's largest vertex.
-    fresh = max((f[-1] for f in revlex_faces(levels, r - 1) if f), default=0)
+    # the base's largest vertex, the top of some level's last set.
+    fresh = max((first_permissible_ksets(m, s, r - 1)[-1][-1] for s, m in levels.entries if m),
+                default=0)
     recorded: list[TraceStep] = [TraceStep(0, 0, 0)] * len(steps)
     for i in range(len(steps) - 1, -1, -1):
         v, a, b = steps[i]

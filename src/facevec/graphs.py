@@ -1,10 +1,10 @@
 """Graphs on labels 1..n with bitmask adjacency.
 
 Clique enumeration is the workhorse: counts by size via recursive extension
-over candidate masks, never storing the cliques unless faces are requested.
-A subgraph is a vertex mask over its graph (a link is ``adj[i] & mask``), so
-nothing is ever copied or relabelled; a graph carries a label map only when it
-comes from vertex names that are not 1..n, as a complex's 1-skeleton does.
+over candidate masks, never storing the cliques.  A subgraph is a vertex
+mask over its graph (a link is ``adj[i] & mask``), so nothing is ever copied
+or relabelled; a graph carries a label map only when it comes from vertex
+names that are not 1..n, as a complex's 1-skeleton does.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ def _adjacency(n: int, pairs) -> tuple[int, ...]:
     return tuple(adj)
 
 
-@lru_cache(maxsize=MASK_WIDTH_CAP + 1)  # every edge-mask decode and encode reads it
+@lru_cache(maxsize=MASK_WIDTH_CAP + 1)  # every edge-mask decode reads it
 def _lex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Edge-mask bit order: bit t is the t-th pair in lexicographic order,
     (0,1), (0,2), ..., (n-2,n-1), i.e. labels (1,2), (1,3), ..., (n-1,n)."""
@@ -73,38 +73,11 @@ class Graph:
     def label(self, i: int) -> int:
         return self.labels[i] if self.labels is not None else i + 1
 
-    @property
-    def vertex_labels(self) -> tuple[int, ...]:
-        return self.labels if self.labels is not None else tuple(range(1, self.n + 1))
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges as label pairs, in edge-mask order."""
-        return [(self.label(i), self.label(j))
-                for i, j in _lex_pairs(self.n) if self.adj[i] >> j & 1]
-
-    def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self.adj) // 2
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        edges = list(edges)
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-        return cls(n=n, adj=_adjacency(n, ((u - 1, v - 1) for u, v in edges)))
-
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
         """Graph whose edge set is the bits of ``mask`` over pairs in
         lexicographic order (1,2), (1,3), ..., (n-1,n)."""
         return cls(n=n, adj=_mask_adjacency(n, mask))
-
-    def edge_mask(self) -> int:
-        return sum(1 << t for t, (i, j) in enumerate(_lex_pairs(self.n)) if self.adj[i] >> j & 1)
 
 
 def _clique_counts(adj: tuple[int, ...] | list[int], within: int, cap: int,
@@ -224,58 +197,6 @@ def unpack_clique_vector(packed: int) -> tuple[int, ...]:
 def clique_vector(g: Graph) -> tuple[int, ...]:
     """Face vector of the clique complex: c_i counts the i-vertex cliques."""
     return tuple(_clique_counts(g.adj, (1 << g.n) - 1, face_guard()))
-
-
-def clique_number(g: Graph) -> int:
-    """Number of vertices in a largest clique; 0 for the empty graph."""
-    return len(clique_vector(g)) - 1
-
-
-def cliques(g: Graph):
-    """Yield every clique as an ascending label tuple, the empty one included."""
-    cap = face_guard()
-    emitted = 0
-
-    def extend(prefix: tuple[int, ...], cand: int):
-        nonlocal emitted
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            i = b.bit_length() - 1
-            cur = prefix + (g.label(i),)
-            emitted += 1
-            if emitted > cap:
-                raise GuardExceeded(f"clique count exceeds the cap {cap}")
-            yield cur
-            rest = cand & g.adj[i]
-            if rest:
-                yield from extend(cur, rest)
-
-    yield ()
-    if g.n:
-        yield from extend((), (1 << g.n) - 1)
-
-
-def turan_graph(n: int, r: int) -> Graph:
-    """Complete r-partite graph on n vertices with parts as even as possible.
-
-    Vertices 1..n are assigned to parts in contiguous blocks, largest first.
-    """
-    from .combinat import turan_parts
-
-    part_of = []
-    for p, size in enumerate(turan_parts(n, r)):
-        part_of.extend([p] * size)
-    cross = ((i, j) for i, j in _lex_pairs(n) if part_of[i] != part_of[j])
-    return Graph(n=n, adj=_adjacency(n, cross))
-
-
-def all_graphs(n: int):
-    """All labeled graphs on n vertices, in increasing edge-mask order."""
-    if n > EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive generation capped at n <= {EXHAUSTIVE_CAP}")
-    for mask in range(1 << comb(n, 2)):
-        yield Graph.from_edge_mask(n, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,6 @@ def next_kset(face: Face) -> Face:
     raise AssertionError("unreachable")
 
 
-def is_permissible(face: Face, r: int) -> bool:
-    """True iff no two elements are congruent modulo r."""
-    return len({v % r for v in face}) == len(face)
-
-
 def _successors(k: int) -> Iterator[Face]:
     """Every k-set in rev-lex order, one ``next_kset`` step at a time."""
     face = tuple(range(1, k + 1))

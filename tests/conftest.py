@@ -1,6 +1,8 @@
 import pytest
 
-from facevec import Complex, Graph
+from facevec import Complex
+
+from oracles import graph_from_edges
 
 C5_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
 PETERSEN_EDGES = [
@@ -12,7 +14,7 @@ PETERSEN_EDGES = [
 
 @pytest.fixture
 def c5():
-    return Graph.from_edges(5, C5_EDGES)
+    return graph_from_edges(5, C5_EDGES)
 
 
 @pytest.fixture
@@ -22,8 +24,8 @@ def pentagon():
 
 @pytest.fixture
 def petersen():
-    return Graph.from_edges(10, PETERSEN_EDGES)
+    return graph_from_edges(10, PETERSEN_EDGES)
 
 
 def complete_graph(n):
-    return Graph.from_edges(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+    return graph_from_edges(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])

@@ -1,12 +1,18 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here works straight from definitions with itertools and math.comb
-and never calls into the package, so agreement between the two is evidence,
-not circularity.
+The oracles work straight from definitions with itertools and math.comb and
+never call into the package, so agreement between the two is evidence, not
+circularity.  The graph helpers at the end are the one exception: they build
+and read the package's ``Graph`` as test inputs, and the tests check them
+against the oracles.
 """
 from bisect import bisect_right
 from itertools import combinations, product
 from math import comb
+
+from facevec.errors import GuardExceeded
+from facevec.graphs import Graph, _adjacency, _lex_pairs
+from facevec.limits import EXHAUSTIVE_CAP, face_guard
 
 
 def precedes(a, b):
@@ -338,3 +344,75 @@ def greedy_terms_by_table(m, k, r, tables):
         j -= 1
         rho = None if rho is None else rho - 1
     return terms
+
+
+# ---------------------------------------------------------------------------
+# Graph helpers: test inputs built on the package's ``Graph``.
+
+def graph_from_edges(n, edges):
+    """The graph on labels 1..n whose edges are the given label pairs."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    edges = list(edges)
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+    return Graph(n=n, adj=_adjacency(n, ((u - 1, v - 1) for u, v in edges)))
+
+
+def edges(g):
+    """Edges as label pairs, in edge-mask order."""
+    return [(g.label(i), g.label(j)) for i, j in _lex_pairs(g.n) if g.adj[i] >> j & 1]
+
+
+def cliques(g):
+    """Yield every clique as an ascending label tuple, the empty one included."""
+    cap = face_guard()
+    emitted = 0
+
+    def extend(prefix, cand):
+        nonlocal emitted
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            i = b.bit_length() - 1
+            cur = prefix + (g.label(i),)
+            emitted += 1
+            if emitted > cap:
+                raise GuardExceeded(f"clique count exceeds the cap {cap}")
+            yield cur
+            rest = cand & g.adj[i]
+            if rest:
+                yield from extend(cur, rest)
+
+    yield ()
+    if g.n:
+        yield from extend((), (1 << g.n) - 1)
+
+
+def turan_parts(n, r):
+    """Sizes of the r parts of n vertices split as evenly as possible, non-increasing."""
+    q, rem = divmod(n, r)
+    return [q + 1] * rem + [q] * (r - rem)
+
+
+def turan_graph(n, r):
+    """Complete r-partite graph on n vertices with parts as even as possible.
+
+    Vertices 1..n are assigned to parts in contiguous blocks, largest first.
+    """
+    part_of = []
+    for p, size in enumerate(turan_parts(n, r)):
+        part_of.extend([p] * size)
+    cross = ((i, j) for i, j in _lex_pairs(n) if part_of[i] != part_of[j])
+    return Graph(n=n, adj=_adjacency(n, cross))
+
+
+def all_graphs(n):
+    """All labeled graphs on n vertices, in increasing edge-mask order."""
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive generation capped at n <= {EXHAUSTIVE_CAP}")
+    for mask in range(1 << comb(n, 2)):
+        yield Graph.from_edge_mask(n, mask)

@@ -1,9 +1,14 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import facevec
 from facevec.cli import run
 from facevec.graphs import graph6_encode
 from facevec.verify import random_graph
@@ -328,20 +333,30 @@ class TestVerifyCommand:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_help(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import facevec
-
+    @staticmethod
+    def _env():
         src = str(Path(facevec.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-m", "facevec", "--help"], env=env,
+
+    def test_python_dash_m_help(self):
+        proc = subprocess.run([sys.executable, "-m", "facevec", "--help"], env=self._env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0 and proc.stdout.startswith("usage: facevec")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--exhaustive", "7", "--output", "records"],
+        ["revlex", "--levels", "4:20000", "--emit-faces"],
+    ])
+    def test_closed_stdout_pipe_ends_quietly(self, argv):
+        # the reader takes one line and goes, as ``| head -1`` does; each
+        # output is far larger than a pipe buffer, so a later write fails
+        proc = subprocess.Popen([sys.executable, "-m", "facevec", *argv], env=self._env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first and proc.returncode == 0 and err == b""
 
 
 class TestExitCodes:
@@ -350,8 +365,9 @@ class TestExitCodes:
         assert code == 2
 
     def test_usage_error_missing_subcommand_argument(self):
-        code, _, _ = invoke(["verify"])
-        assert code == 3  # no graph and no mode is an input problem
+        code, out, err = invoke(["verify"])
+        assert code == 2 and out == ""  # no source, like two, is a usage problem
+        assert err == "facevec: usage error: verify takes one of <graph>, --exhaustive or --random\n"
 
     def test_input_error_missing_file(self):
         code, _, err = invoke(["cliquevec", "/nonexistent/file.edges"])
@@ -431,7 +447,7 @@ class TestExitCodes:
         def boom(args, out):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli_mod, "_cmd_kk_bound", boom)
+        monkeypatch.setattr(cli_mod, "_cmd_bound", boom)
         code, out, err = invoke(["kk-bound", "--m", "99", "--k", "3"])
         assert code == 5 and out == ""
         assert err == "facevec: internal error: RuntimeError: boom\n"

@@ -1,20 +1,18 @@
 import random
 import time
 import tracemalloc
+from math import comb
 
 import pytest
 
 from facevec import (
     CanonicalRep,
-    binom,
     clique_vector,
     ffk_bound,
     ffk_canonical,
     kk_canonical,
     kk_shadow_bound,
     turan_binom,
-    turan_graph,
-    turan_parts,
 )
 
 from oracles import (
@@ -25,23 +23,9 @@ from oracles import (
     slow_value,
     turan_binom_slow,
     turan_edges_roundrobin,
+    turan_graph,
+    turan_parts,
 )
-
-
-class TestBinom:
-    def test_worked_values(self):
-        assert binom(9, 3) == 84
-        assert binom(6, 2) == 15
-        assert binom(20, 4) == 4845
-        assert binom(20, 3) == 1140
-
-    def test_empty_selection(self):
-        for n in (0, 1, 7, 100):
-            assert binom(n, 0) == 1
-
-    def test_oversized_selection_is_zero(self):
-        assert binom(3, 5) == 0
-        assert binom(0, 1) == 0
 
 
 class TestTuranParts:
@@ -78,7 +62,7 @@ class TestTuranBinom:
     def test_reduces_to_binom_when_parts_are_singletons(self):
         for n in range(0, 9):
             for k in range(0, n + 1):
-                assert turan_binom(n, k, n + 2) == binom(n, k)
+                assert turan_binom(n, k, n + 2) == comb(n, k)
 
     def test_against_roundrobin_brute_force(self):
         # independent part assignment, independent clique counting

@@ -14,10 +14,8 @@ import pytest
 from facevec import (
     Complex,
     Graph,
-    all_graphs,
     check_coloring,
     chromatic_number,
-    clique_number,
     clique_vector,
     construct_balanced,
     construct_from_vector,
@@ -36,8 +34,8 @@ from facevec.revlex import first_permissible_ksets
 from facevec.verify import random_graph
 
 from conftest import complete_graph
-from oracles import (brute_cliques_by_size, brute_closure, brute_face_vector,
-                     induced_relabelled, neighbors)
+from oracles import (all_graphs, brute_cliques_by_size, brute_closure, brute_face_vector, edges,
+                     graph_from_edges, induced_relabelled, neighbors)
 
 
 def assert_pair_contract(g, r, k):
@@ -67,13 +65,13 @@ class TestConstructPairExamples:
         assert chromatic_number(one_skeleton(cc.complex)) == 2
 
     def test_edgeless_matches_vertices_at_level_one(self):
-        g = Graph.from_edges(6, [])
+        g = graph_from_edges(6, [])
         cc, trace = construct_pair(g, 3, 1)
         assert face_vector(cc.complex) == (1, 6)
         assert trace.kind == "flat"
 
     def test_edgeless_higher_levels_are_empty(self):
-        g = Graph.from_edges(6, [])
+        g = graph_from_edges(6, [])
         for k in (2, 3):
             cc, _ = construct_pair(g, 3, k)
             vec = face_vector(cc.complex)
@@ -89,7 +87,7 @@ class TestConstructPairExamples:
             construct_pair(complete_graph(4), 3, 1)
 
     def test_empty_graph(self):
-        g = Graph.from_edges(0, [])
+        g = graph_from_edges(0, [])
         cc, _ = construct_pair(g, 1, 0)
         assert face_vector(cc.complex) == (1,)
 
@@ -104,24 +102,24 @@ class TestConstructPairTrace:
         assert trace.sub is not None and trace.sub.kind == "flat"
 
     def test_steps_recomputable_from_the_graph(self, c5, petersen):
-        def audit(trace, within, edges, k):
+        def audit(trace, within, pairs, k):
             if trace.kind != "cone":
                 return
             current = set(within)
             for step in trace.steps:
-                link = induced_relabelled(neighbors(step.vertex, edges) & current, edges)
+                link = induced_relabelled(neighbors(step.vertex, pairs) & current, pairs)
                 lv = brute_cliques_by_size(*link)
                 assert step.a == vec_entry(lv, k)
                 assert step.b == vec_entry(lv, k - 1)
                 current.discard(step.vertex)
             # what survives the peeling is exactly the pivot's neighborhood
-            assert current == neighbors(trace.pivot, edges) & set(within)
-            audit(trace.sub, current, edges, k)
+            assert current == neighbors(trace.pivot, pairs) & set(within)
+            audit(trace.sub, current, pairs, k)
 
         for g, r, k in [(c5, 2, 1), (petersen, 2, 1), (complete_graph(5), 5, 2),
                         (complete_graph(6), 6, 3), (Graph.from_edge_mask(7, 0x1F3B6F), 5, 2)]:
             _, trace = construct_pair(g, r, k)
-            audit(trace, g.vertex_labels, g.edges(), k)
+            audit(trace, range(1, g.n + 1), edges(g), k)
 
     def test_labelled_graph_names_its_labels(self):
         cx = Complex.from_faces([(2, 5, 9), (5, 9, 14), (9, 14, 20), (2, 20), (5, 31),
@@ -142,7 +140,7 @@ class TestConstructPairTrace:
                 sub=relabel(trace.sub),
             )
 
-        r = clique_number(g)
+        r = len(clique_vector(g)) - 1
         cones = 0
         for k in range(0, r + 2):
             cc, trace = construct_pair(g, r, k)
@@ -191,11 +189,11 @@ class TestConstructPairTrace:
 
         monkeypatch.setattr(construct_mod, "_close", closing)
         rng = random.Random(11)
-        graphs = [complete_graph(5), Graph.from_edges(6, [(1, 2), (3, 4), (5, 6)])]
+        graphs = [complete_graph(5), graph_from_edges(6, [(1, 2), (3, 4), (5, 6)])]
         graphs += [Graph.from_edge_mask(n, rng.randrange(1 << comb(n, 2)))
                    for n in (6, 8, 10) for _ in range(6)]
         for g in graphs:
-            w = max(clique_number(g), 1)
+            w = max(len(clique_vector(g)) - 1, 1)
             for r in (w, w + 1):
                 for k in range(w + 1):
                     construct_pair(g, r, k)
@@ -205,7 +203,7 @@ class TestConstructPairTrace:
             assert validate_face(f) == f
 
     def test_feasibility_inequalities(self, c5):
-        for g, r in [(c5, 2), (complete_graph(4), 4), (Graph.from_edges(6, [(1, 2), (3, 4), (5, 6)]), 2)]:
+        for g, r in [(c5, 2), (complete_graph(4), 4), (graph_from_edges(6, [(1, 2), (3, 4), (5, 6)]), 2)]:
             cv = clique_vector(g)
             for k in range(1, len(cv)):
                 _, trace = construct_pair(g, r, k)
@@ -220,7 +218,7 @@ class TestConstructPairTrace:
         cc, trace = construct_pair(c5, 2, 1)
         added = {s.added_vertex for s in trace.steps}
         skel = one_skeleton(cc.complex)
-        for u, v in skel.edges():
+        for u, v in edges(skel):
             assert not (u in added and v in added)
 
     def test_added_vertices_all_wear_the_last_color(self, c5):
@@ -233,13 +231,13 @@ class TestConstructPairSweeps:
     def test_exhaustive_small(self):
         for n in range(0, 5):
             for g in all_graphs(n):
-                r = max(clique_number(g), 1)
+                r = max(len(clique_vector(g)) - 1, 1)
                 for k in range(0, r + 2):
                     assert_pair_contract(g, r, k)
 
     def test_budget_above_clique_number_also_works(self):
         for g in all_graphs(4):
-            r = clique_number(g) + 1
+            r = len(clique_vector(g))
             for k in range(0, r + 1):
                 assert_pair_contract(g, r, k)
 
@@ -248,7 +246,7 @@ class TestConstructPairSweeps:
         for n, trials in [(5, 120), (6, 60), (7, 30)]:
             for _ in range(trials):
                 g = Graph.from_edge_mask(n, rng.randrange(1 << comb(n, 2)))
-                r = max(clique_number(g), 1)
+                r = max(len(clique_vector(g)) - 1, 1)
                 for k in range(0, r + 1):
                     assert_pair_contract(g, r, k)
 
@@ -299,7 +297,7 @@ class TestPairGoldenAndMemos:
         digest, cases = hashlib.sha256(), 0
         for i in range(40):
             g = random_graph(16, Fraction(1, 2), f"pairgold:{i}")
-            w = clique_number(g)
+            w = len(clique_vector(g)) - 1
             for r in (w, w + 1):
                 for k in range(w + 2):
                     trace, facets, coloring = _pair_outcome(g, r, k)
@@ -312,12 +310,12 @@ class TestPairGoldenAndMemos:
         construct_mod._shadow_count.cache_clear()
         ffk_bound.cache_clear()
         g = random_graph(14, Fraction(2, 3), "pairmemo:0")
-        r = clique_number(g)
+        r = len(clique_vector(g)) - 1
         cold = [_pair_outcome(g, r, k) for k in range(r + 1)]
         for i in range(1, 6):  # unrelated calls fill the memos
             other = random_graph(14, Fraction(2, 3), f"pairmemo:{i}")
-            for k in range(clique_number(other) + 1):
-                construct_pair(other, clique_number(other) + 1, k)
+            for k in range(len(clique_vector(other))):
+                construct_pair(other, len(clique_vector(other)), k)
         assert construct_mod._shadow_count.cache_info().hits > 0
         assert ffk_bound.cache_info().hits > 0
         assert [_pair_outcome(g, r, k) for k in range(r + 1)] == cold
@@ -387,14 +385,14 @@ class TestConstructBalanced:
         assert is_balanced(cc.complex)
 
     def test_empty_graph(self):
-        cc, report = construct_balanced(Graph.from_edges(0, []))
+        cc, report = construct_balanced(graph_from_edges(0, []))
         assert report.colors == 0
         assert report.clique_vec == (1,)
         assert report.face_vec == (1,)
         assert check_coloring(cc)
 
     def test_edgeless(self):
-        cc, report = construct_balanced(Graph.from_edges(4, []))
+        cc, report = construct_balanced(graph_from_edges(4, []))
         assert report.colors == 1
         assert report.face_vec == (1, 4)
         assert is_balanced(cc.complex)

@@ -6,15 +6,11 @@ import pytest
 from facevec import (
     Complex,
     Graph,
-    all_graphs,
-    clique_number,
     clique_vector,
-    cliques,
     face_vector,
     graph6_encode,
     parse_graph,
     turan_binom,
-    turan_graph,
 )
 from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded, InputFormatError
@@ -22,8 +18,9 @@ from facevec.graphs import _clique_counts
 from facevec.limits import DEFAULT_FACE_GUARD as CAP
 
 from conftest import complete_graph
-from oracles import (brute_cliques_by_size, cliques_through_each_vertex, decode_edge_mask,
-                     decode_graph6, edge_mask_pairs)
+from oracles import (all_graphs, brute_cliques_by_size, cliques, cliques_through_each_vertex,
+                     decode_edge_mask, decode_graph6, edge_mask_pairs, edges, graph_from_edges,
+                     turan_graph)
 
 
 class TestParseEdgeList:
@@ -33,11 +30,11 @@ class TestParseEdgeList:
 
     def test_isolated_vertices(self):
         g = parse_graph("2 0\n")
-        assert g.n == 2 and g.edges() == []
+        assert g.n == 2 and edges(g) == []
 
     def test_comments_and_blanks_ignored(self):
         g = parse_graph("# a graph\n\n3 1\n# the edge\n1 2\n")
-        assert g.edges() == [(1, 2)]
+        assert edges(g) == [(1, 2)]
 
     def test_malformed_header(self):
         with pytest.raises(InputFormatError):
@@ -56,14 +53,14 @@ class TestParseEdgeList:
     def test_duplicate_edge_warns_and_dedupes(self):
         with pytest.warns(UserWarning, match=r"^1 duplicate edge\(s\) ignored, the first is \(1, 2\)$"):
             g = parse_graph("3 2\n1 2\n2 1\n")
-        assert g.edges() == [(1, 2)]
+        assert edges(g) == [(1, 2)]
 
     def test_duplicate_edges_warn_once_per_input(self):
         with pytest.warns(UserWarning) as caught:
             g = parse_graph("4 5\n3 4\n1 2\n4 3\n2 1\n4 3\n")
         assert [str(w.message) for w in caught] == [
             "3 duplicate edge(s) ignored, the first is (3, 4)"]
-        assert g.edges() == [(1, 2), (3, 4)]
+        assert edges(g) == [(1, 2), (3, 4)]
 
     def test_edge_count_mismatch(self):
         with pytest.raises(InputFormatError):
@@ -75,7 +72,7 @@ class TestParseGraph6:
         # decoded independently: a 4-star centered at vertex 5
         g = parse_graph("D?{")
         assert g.n == 5
-        assert sorted(g.edges()) == [(1, 5), (2, 5), (3, 5), (4, 5)]
+        assert sorted(edges(g)) == [(1, 5), (2, 5), (3, 5), (4, 5)]
 
     def test_header_accepted(self):
         assert parse_graph(">>graph6<<D?{") == parse_graph("D?{")
@@ -98,9 +95,9 @@ class TestParseGraph6:
                 mask = rng.randrange(1 << comb(n, 2))
                 g = Graph.from_edge_mask(n, mask)
                 line = graph6_encode(g)
-                n2, edges = decode_graph6(line)
+                n2, pairs = decode_graph6(line)
                 assert n2 == n
-                assert sorted(edges) == sorted(g.edges())
+                assert sorted(pairs) == sorted(edges(g))
                 assert parse_graph(line) == g
 
 
@@ -110,17 +107,17 @@ class TestParseGraph6:
         # every n up to the cap; n >= 63 takes graph6's 4-byte size form
         for n in range(0, 65):
             p = rng.random()
-            edges = [e for e in edge_mask_pairs(n) if rng.random() < p]
-            g = Graph.from_edges(n, edges)
+            pairs = [e for e in edge_mask_pairs(n) if rng.random() < p]
+            g = graph_from_edges(n, pairs)
             ref = nx.Graph()
             ref.add_nodes_from(range(n))
-            ref.add_edges_from((u - 1, v - 1) for u, v in edges)
+            ref.add_edges_from((u - 1, v - 1) for u, v in pairs)
             line = nx.to_graph6_bytes(ref, header=False).decode().strip()
             assert graph6_encode(g) == line
             assert parse_graph(line) == g
             back = nx.from_graph6_bytes(graph6_encode(g).encode())
             assert back.number_of_nodes() == n
-            assert sorted(tuple(sorted((u + 1, v + 1))) for u, v in back.edges()) == edges
+            assert sorted(tuple(sorted((u + 1, v + 1))) for u, v in back.edges()) == pairs
 
 
 class TestEdgeMaskCodec:
@@ -129,15 +126,13 @@ class TestEdgeMaskCodec:
         for n in range(0, 12):
             pairs = edge_mask_pairs(n)
             for t, pair in enumerate(pairs):
-                assert Graph.from_edge_mask(n, 1 << t).edges() == [pair]
+                assert edges(Graph.from_edge_mask(n, 1 << t)) == [pair]
             for _ in range(30):
                 mask = rng.randrange(1 << len(pairs))
-                edges = decode_edge_mask(n, mask)
+                expected = decode_edge_mask(n, mask)
                 g = Graph.from_edge_mask(n, mask)
-                assert g.edges() == edges
-                assert g.edge_mask() == mask
-                assert g.edge_count() == len(edges)
-                assert Graph.from_edges(n, edges) == g
+                assert edges(g) == expected
+                assert graph_from_edges(n, expected) == g
                 # bits beyond the C(n, 2) pairs name no edge
                 high = rng.randrange(1, 256) << len(pairs)
                 assert Graph.from_edge_mask(n, mask | high) == g
@@ -154,7 +149,7 @@ class TestCliqueVector:
         assert vec_entry(clique_vector(turan_graph(7, 3)), 3) == 12
 
     def test_empty_graph(self):
-        assert clique_vector(Graph.from_edges(0, [])) == (1,)
+        assert clique_vector(graph_from_edges(0, [])) == (1,)
 
     def test_guard(self, monkeypatch):
         monkeypatch.setenv("FACEVEC_GUARD", "50")
@@ -165,11 +160,11 @@ class TestCliqueVector:
         for g in all_graphs(5):
             vec = clique_vector(g)
             assert vec_entry(vec, 1) == g.n
-            assert vec_entry(vec, 2) == g.edge_count()
+            assert vec_entry(vec, 2) == len(edges(g))
 
     def test_against_subset_brute_force(self):
         for g in all_graphs(4):
-            assert clique_vector(g) == brute_cliques_by_size(g.n, g.edges())
+            assert clique_vector(g) == brute_cliques_by_size(g.n, edges(g))
 
     def test_agrees_with_clique_complex_face_vector(self):
         for n in (0, 1, 2, 3, 4, 5):
@@ -187,16 +182,16 @@ class TestCliqueVector:
 
 class TestCliqueNumber:
     def test_triangle_free_with_edges(self, c5):
-        assert clique_number(c5) == 2
+        assert len(clique_vector(c5)) - 1 == 2
 
     def test_complete(self):
         for n in range(0, 7):
-            assert clique_number(complete_graph(n)) == n
+            assert len(clique_vector(complete_graph(n))) - 1 == n
 
     def test_turan_hits_part_count(self):
         for n in range(1, 10):
             for r in range(1, n + 1):
-                assert clique_number(turan_graph(n, r)) == min(n, r)
+                assert len(clique_vector(turan_graph(n, r))) - 1 == min(n, r)
 
 
 class TestGraphLink:
@@ -208,7 +203,7 @@ class TestGraphLink:
         assert _clique_counts(g.adj, g.adj[2], CAP) == [1, 4, 6, 4, 1]
 
     def test_isolated_vertex(self):
-        g = Graph.from_edges(3, [(1, 2)])
+        g = graph_from_edges(3, [(1, 2)])
         assert g.adj[2] == 0
         assert _clique_counts(g.adj, g.adj[2], CAP) == [1]
 
@@ -255,12 +250,12 @@ class TestCliqueDifferential:
         for n in range(0, 21):
             for _ in range(3):
                 p = rng.random()
-                g = Graph.from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
+                g = graph_from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
                 full = (1 << n) - 1
                 for within in [full] + [rng.randrange(1 << n) for _ in range(4)]:
                     ref = nx.Graph()
                     ref.add_nodes_from(i for i in range(n) if within >> i & 1)
-                    ref.add_edges_from((u - 1, w - 1) for u, w in g.edges()
+                    ref.add_edges_from((u - 1, w - 1) for u, w in edges(g)
                                        if within >> (u - 1) & within >> (w - 1) & 1)
                     expected = [1]
                     for clique in nx.enumerate_all_cliques(ref):
@@ -290,7 +285,7 @@ class TestDepthBoundedCounts:
         rng = random.Random(31)
         for n in range(0, 23):
             for p in (0.2, 0.5, 0.8):
-                g = Graph.from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
+                g = graph_from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
                 for within in ((1 << n) - 1, rng.randrange(1 << n) if n else 0):
                     full = _clique_counts(g.adj, within, CAP)
                     for depth in range(n + 2):
@@ -319,7 +314,7 @@ class TestCreditedCounts:
         rng = random.Random(2024)
         for n in range(0, 19):
             for p in (0.3, 0.6, 0.9):
-                g = Graph.from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
+                g = graph_from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
                 for within in ((1 << n) - 1, rng.randrange(1 << n) if n else 0):
                     for depth in range(2, n + 2):
                         counts, credit = _credited(g.adj, within, depth)
@@ -373,8 +368,8 @@ class TestAllGraphs:
     def test_n4_total_and_edge_split(self):
         graphs4 = list(all_graphs(4))
         assert len(graphs4) == 64
-        edgeless = sum(1 for g in graphs4 if g.edge_count() == 0)
-        with_edges = sum(1 for g in graphs4 if g.edge_count() > 0)
+        edgeless = sum(1 for g in graphs4 if len(edges(g)) == 0)
+        with_edges = sum(1 for g in graphs4 if len(edges(g)) > 0)
         assert edgeless == 1
         assert with_edges == 63
 
@@ -384,7 +379,7 @@ class TestAllGraphs:
 
     def test_mask_roundtrip(self):
         for mask, g in enumerate(all_graphs(4)):
-            assert g.edge_mask() == mask
+            assert edges(g) == decode_edge_mask(4, mask)
 
 
 class TestZykovTypeBound:
@@ -414,6 +409,6 @@ class TestTuranExtremality:
         # most edges
         for n in range(2, 7):
             best = max(
-                g.edge_count() for g in all_graphs(n) if vec_entry(clique_vector(g), 3) == 0
+                len(edges(g)) for g in all_graphs(n) if vec_entry(clique_vector(g), 3) == 0
             )
             assert best == vec_entry(clique_vector(turan_graph(n, 2)), 2)

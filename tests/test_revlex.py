@@ -10,7 +10,6 @@ from facevec import (
     ffk_bound,
     first_ksets,
     first_permissible_ksets,
-    is_permissible,
     kk_shadow_bound,
     next_kset,
     one_skeleton,
@@ -23,6 +22,7 @@ from facevec.revlex import residue_colored
 
 from oracles import (
     brute_closure,
+    edges,
     kset_rank,
     kset_unrank,
     pairwise_permissible,
@@ -112,25 +112,30 @@ class TestFirstKsets:
 
 
 class TestPermissible:
+    """The definition the segments are checked against: no two elements of
+    a permissible set are congruent modulo r."""
+
     def test_difference_divisible(self):
-        assert not is_permissible((1, 4), 3)
+        assert not pairwise_permissible((1, 4), 3)
 
     def test_spec_probe_value(self):
         # 6 - 2 = 4 is divisible by 4
-        assert not is_permissible((1, 2, 6), 4)
+        assert not pairwise_permissible((1, 2, 6), 4)
 
     def test_empty_face_vacuous(self):
         for r in range(1, 5):
-            assert is_permissible((), r)
+            assert pairwise_permissible((), r)
 
     def test_too_big_never_permissible(self):
-        assert not is_permissible((1, 2, 3), 2)
+        assert not pairwise_permissible((1, 2, 3), 2)
 
     def test_agrees_with_pairwise_oracle(self):
+        # rev-lex order puts every set within 1..8 before any set reaching 9
         for r in range(1, 6):
-            for k in range(0, 5):
-                for face in combinations(range(1, 9), k):
-                    assert is_permissible(face, r) == pairwise_permissible(face, r)
+            for k in range(1, 5):
+                within = [f for f in combinations(range(1, 9), k) if pairwise_permissible(f, r)]
+                within.sort(key=revlex_key)
+                assert first_permissible_ksets(len(within), k, r) == within
 
 
 class TestFirstPermissible:
@@ -193,7 +198,7 @@ class TestPermissibleWalk:
             rl._segments.pop((k, r), None)
             with Stopwatch(1.0):
                 seg = first_permissible_ksets(m, k, r)
-            assert len(seg) == m and all(is_permissible(f, r) for f in seg)
+            assert len(seg) == m and all(pairwise_permissible(f, r) for f in seg)
             assert all(a[::-1] < b[::-1] for a, b in zip(seg, seg[1:]))
 
 
@@ -311,7 +316,7 @@ class TestColoredRevlexComplex:
 
     def test_skeleton_splits_odd_even(self):
         cc = colored_revlex_complex(LevelSpec.of((2, 5)), 2)
-        for u, v in one_skeleton(cc.complex).edges():
+        for u, v in edges(one_skeleton(cc.complex)):
             assert u % 2 != v % 2
 
     def test_one_color_gives_isolated_vertices(self):

@@ -26,7 +26,7 @@ from facevec.graphs import _clique_counts, _mask_adjacency, packed_clique_rows, 
 from facevec.verify import iter_exhaustive_records, iter_random_records, random_graph, tally
 
 from conftest import complete_graph
-from oracles import brute_cliques_by_size, decode_edge_mask
+from oracles import brute_cliques_by_size, decode_edge_mask, graph_from_edges
 
 
 @cache
@@ -48,7 +48,7 @@ class TestVerifyGraph:
         assert rec.ok and rec.colors == 4
 
     def test_empty_graph_passes_vacuously(self):
-        rec = verify_graph(Graph.from_edges(0, []))
+        rec = verify_graph(graph_from_edges(0, []))
         assert rec.ok and rec.colors == 0
 
     def test_guard_becomes_recorded_error(self, monkeypatch):
