@@ -22,7 +22,6 @@ from .complexes import ColoredComplex, complex_and_face_vector, vec_entry
 from .construct import ConstructionTrace, _construct_pair, construct_balanced
 from .errors import GuardExceeded, InputFormatError, InvariantViolation
 from .graphs import clique_vector, parse_graph
-from .limits import face_guard
 from .revlex import LevelSpec, residue_colored, revlex_faces
 
 EXIT_OK = 0
@@ -166,7 +165,7 @@ def _cmd_construct_pair(args, out) -> int:
     g = _load_graph(args)
     cv = clique_vector(g)
     r = args.r if args.r is not None else max(len(cv) - 1, 1)
-    cc, trace, face_vec = _construct_pair(g, r, args.k, cv, 0, face_guard())
+    cc, trace, face_vec = _construct_pair(g, r, args.k, cv)
     print(f"colors {r}", file=out)
     print(f"k {args.k}", file=out)
     print(f"targets {vec_entry(cv, args.k)} {vec_entry(cv, args.k + 1)}", file=out)

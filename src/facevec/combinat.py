@@ -76,6 +76,15 @@ class CanonicalRep:
         """
         return self._shifted_sum(1)
 
+    def shadow(self) -> int:
+        """Evaluate the expansion with every index lowered by one.
+
+        This is the size of the (k-1)-shadow of the first m (permissible)
+        k-sets in rev-lex order, itself an initial segment (Kruskal-Katona;
+        Frankl-Füredi-Kalai for colored sets).
+        """
+        return self._shifted_sum(-1)
+
     def validate(self) -> None:
         """Check the chain conditions that make the expansion unique."""
         k, r, terms = self.k, self.color_budget, self.terms

@@ -117,8 +117,8 @@ def complex_and_face_vector(faces) -> tuple[Complex, FaceVector]:
 
     The walk goes down to the empty face, so the vector is the brute-force
     count of the closure of ``faces``, under the face guard.  The faces are
-    trusted: they come from ``revlex_faces``, valid by construction, so they
-    are not validated again.
+    trusted: they come from ``revlex_faces``, and the pair construction's
+    cones over it, valid by construction, so they are not validated again.
     """
     facets, levels = _close(faces, 0, face_guard())
     return Complex(frozenset(facets)), tuple(map(len, levels))

@@ -9,10 +9,9 @@ single multi-level colored rev-lex complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .combinat import ffk_bound
-from .complexes import ColoredComplex, Complex, _close, complex_and_face_vector, vec_entry
+from .combinat import ffk_bound, ffk_canonical
+from .complexes import ColoredComplex, complex_and_face_vector, vec_entry
 from .errors import InvariantViolation
 from .graphs import Graph, _clique_counts, clique_vector
 from .limits import face_guard
@@ -26,7 +25,7 @@ class TraceStep:
     vertex: int
     a: int  # k-face count of the link within the shrinking graph
     b: int  # (k-1)-face count of the same link
-    added_vertex: int = 0  # label of the fresh cone vertex, 0 in audits
+    added_vertex: int  # label of the fresh color-r cone vertex
 
 
 @dataclass(frozen=True)
@@ -52,34 +51,25 @@ def construct_pair(g: Graph, r: int, k: int) -> tuple[ColoredComplex, Constructi
     rev-lex complex on r-1 colors, then cone one fresh color-r vertex per
     peeled vertex over an initial segment sized by that vertex's link counts.
     Only the top level is realized; the levels below it are audited through
-    their traces alone.  The guard is read once: the full clique count of g
-    trips it where any count would, and every recount below is of a
-    subgraph, to depth k + 1 at most.
+    their traces alone.  The full clique count of g trips the guard where
+    any count would, and every recount below is of a subgraph, to depth
+    k + 1 at most.
     """
-    cc, trace, _ = _construct_pair(g, r, k, None, None, face_guard())
+    cc, trace, _ = _construct_pair(g, r, k, clique_vector(g))
     return cc, trace
 
 
-def _construct_pair(g: Graph, r: int, k: int, cv: tuple[int, ...] | list[int] | None,
-                    floor: int | None, cap: int
+def _construct_pair(g: Graph, r: int, k: int, cv: tuple[int, ...] | list[int]
                     ) -> tuple[ColoredComplex, ConstructionTrace, tuple[int, ...]]:
-    """``construct_pair`` and the face vector of its one closure walk.
-
-    ``cv`` is g's full clique vector, counted here when None; the walk stops
-    at ``floor``, the smallest generated face size when None, and the vector
-    reads 0 below it.  The ``construct-pair`` command passes the vector it
-    has counted and floor 0, so it prints the vector of this walk.
-    """
+    """``construct_pair`` from g's full clique vector ``cv``, and the face
+    vector of the complex, counted on its one walk down to the empty face."""
     if r < 1:
         raise ValueError("need a positive color budget")
     if k < 0:
         raise ValueError("need k >= 0")
-    within = (1 << g.n) - 1
-    if cv is None:
-        cv = _clique_counts(g.adj, within, cap)
     if vec_entry(cv, r + 1) > 0:
         raise ValueError(f"graph has a clique on {r + 1} vertices; budget {r} infeasible")
-    trace = _trace(g, within, cv, None, r, k, cap)
+    trace = _trace(g, (1 << g.n) - 1, cv, None, r, k, face_guard())
 
     # The base is the rev-lex complex of the trace's levels, residue-colored
     # on r-1 colors under a cone; each step's fresh color-r vertex is coned
@@ -91,14 +81,10 @@ def _construct_pair(g: Graph, r: int, k: int, cv: tuple[int, ...] | list[int] | 
         if k >= 2:
             cone_base += first_permissible_ksets(step.b, k - 1, base_colors)
         faces += [f + (step.added_vertex,) for f in cone_base]
-    # Generated faces, valid by construction: walked without re-validation.
-    if floor is None:
-        floor = min(map(len, faces))
-    facets, levels = _close(faces, floor, cap)
-    cx = Complex(frozenset(facets))
-    added = {step.added_vertex for step in trace.steps}
-    coloring = {v: r if v in added else (v - 1) % base_colors + 1 for v in cx.vertices}
-    return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace, tuple(map(len, levels))
+    cx, face_vec = complex_and_face_vector(faces)
+    coloring = residue_colored(cx, base_colors).coloring
+    coloring.update((step.added_vertex, r) for step in trace.steps)
+    return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace, face_vec
 
 
 def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
@@ -152,28 +138,26 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
     # Inner induction on the (k+1)-count, over the link's mask.
     sub = _trace(g, current, link_cv, link_credit, r - 1, k, cap)
 
+    if ffk_bound(ck_link, k, r - 1) < ck1_link:
+        raise InvariantViolation("link counts violate the colored shadow bound")
+
     # Base levels: the link's counts at (k, k+1), with the (k-1)-level padded
-    # up to cover both the forced shadow and every b_i <= c_{k-1}(g).
+    # up to cover both the forced shadow and every b_i <= c_{k-1}(g).  Within
+    # the bound just checked, the first c_{k+1} (k+1)-sets lie over the first
+    # c_k k-sets.  Their shadow is an initial segment (Frankl-Füredi-Kalai),
+    # as long as the canonical form of c_k read one index down.
     entries: list[tuple[int, int]] = []
     pad = 0
     if k >= 2:
-        pad = max(vec_entry(cv, k - 1), _shadow_count(ck_link, ck1_link, k, r - 1, cap))
+        pad = max(vec_entry(cv, k - 1), ffk_canonical(ck_link, k, r - 1).shadow())
         entries.append((k - 1, pad))
         if ffk_bound(pad, k - 1, r - 1) < ck_link:
             raise InvariantViolation("padded level cannot support the link's k-faces")
     entries.append((k, ck_link))
     entries.append((k + 1, ck1_link))
-    if ffk_bound(ck_link, k, r - 1) < ck1_link:
-        raise InvariantViolation("link counts violate the colored shadow bound")
     levels = LevelSpec.of(*entries)
 
-    # One fresh color-r vertex per peeled vertex, latest peel first, above
-    # the base's largest vertex, the top of some level's last set.
-    fresh = max((first_permissible_ksets(m, s, r - 1)[-1][-1] for s, m in levels.entries if m),
-                default=0)
-    recorded: list[TraceStep] = [TraceStep(0, 0, 0)] * len(steps)
-    for i in range(len(steps) - 1, -1, -1):
-        v, a, b = steps[i]
+    for v, a, b in reversed(steps):
         if a > ck_link:
             raise InvariantViolation(f"step clique count {a} exceeds the base's {ck_link}")
         if k >= 2:
@@ -181,8 +165,12 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
                 raise InvariantViolation(f"step shadow count {b} exceeds the padded level {pad}")
             if ffk_bound(b, k - 1, r - 1) < a:
                 raise InvariantViolation(f"step counts ({a}, {b}) violate the colored bound")
-        fresh += 1
-        recorded[i] = TraceStep(vertex=v, a=a, b=b, added_vertex=fresh)
+
+    # One fresh color-r vertex per peeled vertex, latest peel first, above
+    # the base's largest vertex, the top of some level's last set.
+    last = len(steps) + max((first_permissible_ksets(m, s, r - 1)[-1][-1]
+                             for s, m in levels.entries if m), default=0)
+    recorded = tuple(TraceStep(v, a, b, last - i) for i, (v, a, b) in enumerate(steps))
 
     return ConstructionTrace(
         kind="cone",
@@ -191,19 +179,9 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
         base_levels=levels.entries,
         pivot=g.label(i0),
         non_neighbors=tuple(g.label(i) for i in non_neighbors),
-        steps=tuple(recorded),
+        steps=recorded,
         sub=sub,
     )
-
-
-@lru_cache(maxsize=1024)  # links of equal counts recur across levels and graphs
-def _shadow_count(ck: int, ck1: int, k: int, colors: int, cap: int) -> int:
-    """Size of the (k-1)-shadow of the first ``ck`` permissible k-sets and
-    the first ``ck1`` permissible (k+1)-sets on ``colors`` colors, from one
-    walk of their closure down to size k - 1 under ``cap``."""
-    segments = first_permissible_ksets(ck, k, colors)
-    segments += first_permissible_ksets(ck1, k + 1, colors)
-    return len(_close(segments, k - 1, cap)[1][k - 1])
 
 
 @dataclass(frozen=True)

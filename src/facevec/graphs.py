@@ -205,38 +205,23 @@ def clique_vector(g: Graph) -> tuple[int, ...]:
 def parse_graph(text: str, fmt: str | None = None) -> Graph:
     """Parse EdgeList or graph6 input; auto-detect by first meaningful byte.
 
-    Edge-list input starts with a digit (its "n m" header); every valid
-    graph6 byte is >= 63, so the two never collide.
+    Blank lines and ``#`` comments are skipped.  Edge-list input starts with
+    a digit (its "n m" header); every valid graph6 byte is >= 63, so the two
+    never collide.
     """
+    lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
     if fmt is None:
-        fmt = _detect_format(text)
+        if not lines:
+            raise InputFormatError("empty graph input")
+        fmt = "edges" if lines[0][0].isdigit() else "graph6"
     if fmt == "edges":
-        return _parse_edge_list(text)
+        return _parse_edge_list(lines)
     if fmt == "graph6":
-        return _parse_graph6(text)
+        return _parse_graph6(lines)
     raise InputFormatError(f"unknown graph format {fmt!r}")
 
 
-def _detect_format(text: str) -> str:
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        return "edges" if stripped[0].isdigit() else "graph6"
-    raise InputFormatError("empty graph input")
-
-
-def _content_lines(text: str) -> list[str]:
-    out = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            out.append(stripped)
-    return out
-
-
-def _parse_edge_list(text: str) -> Graph:
-    lines = _content_lines(text)
+def _parse_edge_list(lines: list[str]) -> Graph:
     if not lines:
         raise InputFormatError("empty edge-list input")
     header = lines[0].split()
@@ -280,8 +265,7 @@ def _parse_edge_list(text: str) -> Graph:
 GRAPH6_HEADER = ">>graph6<<"
 
 
-def _parse_graph6(text: str) -> Graph:
-    lines = _content_lines(text)
+def _parse_graph6(lines: list[str]) -> Graph:
     if not lines:
         raise InputFormatError("empty graph6 input")
     if len(lines) > 1:

@@ -14,6 +14,7 @@ from facevec import (
     kk_shadow_bound,
     turan_binom,
 )
+from facevec.revlex import first_ksets, first_permissible_ksets
 
 from oracles import (
     brute_cliques_by_size,
@@ -202,6 +203,22 @@ class TestFFKBound:
         for k in range(1, 6):
             for m in range(0, 300):
                 assert ffk_bound(m, k, k) == 0
+
+
+class TestShadow:
+    @pytest.mark.parametrize("r", [None, 2, 3, 4, 5, 6])
+    def test_shadow_is_the_size_of_the_segments_shadow(self, r):
+        # the (k-1)-shadow of the first m rev-lex (r-permissible) k-sets,
+        # grown one set at a time, against the canonical form read one down
+        top = 300
+        for k in range(1, 6 if r is None else min(r, 5) + 1):
+            segment = first_ksets(top, k) if r is None else first_permissible_ksets(top, k, r)
+            shadow = set()
+            for m in range(top + 1):
+                rep = kk_canonical(m, k) if r is None else ffk_canonical(m, k, r)
+                assert rep.shadow() == len(shadow), (m, k, r)
+                if m < top:
+                    shadow.update(segment[m][:i] + segment[m][i + 1:] for i in range(k))
 
 
 class TestBoundProperties:

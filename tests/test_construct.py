@@ -25,8 +25,9 @@ from facevec import (
     one_skeleton,
 )
 import facevec
+from facevec import complexes as complexes_mod
 from facevec import construct as construct_mod
-from facevec.combinat import ffk_bound
+from facevec.combinat import ffk_bound, ffk_canonical
 from facevec.complexes import validate_face, vec_entry
 from facevec.errors import GuardExceeded
 from facevec.limits import DEFAULT_FACE_GUARD as CAP
@@ -155,9 +156,9 @@ class TestConstructPairTrace:
         assert cones == 2
 
     def test_one_complex_per_call(self, monkeypatch):
-        # A pair complex is one _close walk outside the trace; the walks inside
-        # it are the padded shadows of the audited levels.
-        depth, built = [0], []
+        # A pair complex is one walk outside the trace; the audited levels
+        # read their padded shadows off canonical forms, with no walk.
+        depth, built, walks = [0], [], []
 
         def tracing(*args):
             depth[0] += 1
@@ -166,28 +167,33 @@ class TestConstructPairTrace:
             finally:
                 depth[0] -= 1
 
+        def building(faces):
+            built.append(depth[0])
+            return build_fn(faces)
+
         def closing(faces, floor, cap):
-            if depth[0] == 0:
-                built.append(floor)
+            walks.append(depth[0])
             return close_fn(faces, floor, cap)
 
-        trace_fn, close_fn = construct_mod._trace, construct_mod._close
+        trace_fn, build_fn = construct_mod._trace, construct_mod.complex_and_face_vector
+        close_fn = complexes_mod._close
         monkeypatch.setattr(construct_mod, "_trace", tracing)
-        monkeypatch.setattr(construct_mod, "_close", closing)
+        monkeypatch.setattr(construct_mod, "complex_and_face_vector", building)
+        monkeypatch.setattr(complexes_mod, "_close", closing)
         _, trace = construct_pair(complete_graph(5), 5, 2)
         assert trace.sub.kind == "cone" and trace.sub.sub.kind == "cone"
-        assert len(built) == 1
+        assert built == [0] and walks == [0]
 
     def test_generated_faces_are_valid(self, monkeypatch):
         # construct_pair walks its faces unvalidated; validate_face is the check.
         walked = []
-        close_fn = construct_mod._close
+        build_fn = construct_mod.complex_and_face_vector
 
-        def closing(faces, floor, cap):
+        def building(faces):
             walked.append(faces)
-            return close_fn(faces, floor, cap)
+            return build_fn(faces)
 
-        monkeypatch.setattr(construct_mod, "_close", closing)
+        monkeypatch.setattr(construct_mod, "complex_and_face_vector", building)
         rng = random.Random(11)
         graphs = [complete_graph(5), graph_from_edges(6, [(1, 2), (3, 4), (5, 6)])]
         graphs += [Graph.from_edge_mask(n, rng.randrange(1 << comb(n, 2)))
@@ -251,8 +257,8 @@ class TestConstructPairSweeps:
                     assert_pair_contract(g, r, k)
 
     def test_walk_to_the_empty_face_gives_the_face_vector(self):
-        # the construct-pair command passes its own count and floor 0, and
-        # prints the vector of the construction's one walk
+        # the construct-pair command passes its own count and prints the
+        # vector of the construction's one walk
         rng = random.Random(12)
         for n in (5, 7, 9):
             for _ in range(5):
@@ -261,7 +267,7 @@ class TestConstructPairSweeps:
                 r = max(len(cv) - 1, 1)
                 for k in range(0, r + 1):
                     cc, trace = construct_pair(g, r, k)
-                    got = construct_mod._construct_pair(g, r, k, cv, 0, 10**7)
+                    got = construct_mod._construct_pair(g, r, k, cv)
                     assert got == (cc, trace, brute_face_vector(brute_closure(cc.complex.facets)))
 
 
@@ -307,7 +313,6 @@ class TestPairGoldenAndMemos:
         assert digest.hexdigest() == PAIR_GOLDEN_SHA256
 
     def test_warm_memos_change_nothing(self):
-        construct_mod._shadow_count.cache_clear()
         ffk_bound.cache_clear()
         g = random_graph(14, Fraction(2, 3), "pairmemo:0")
         r = len(clique_vector(g)) - 1
@@ -316,13 +321,12 @@ class TestPairGoldenAndMemos:
             other = random_graph(14, Fraction(2, 3), f"pairmemo:{i}")
             for k in range(len(clique_vector(other))):
                 construct_pair(other, len(clique_vector(other)), k)
-        assert construct_mod._shadow_count.cache_info().hits > 0
         assert ffk_bound.cache_info().hits > 0
         assert [_pair_outcome(g, r, k) for k in range(r + 1)] == cold
 
     def test_guard_switches_match_fresh_processes(self, monkeypatch):
         # 300 passes the clique count of this graph but trips two of the
-        # walks; the memos key on the cap and never keep a trip.
+        # walks; the warm ``ffk_bound`` memo keeps nothing of the guard.
         script = _FRESH_OUTCOMES.format(outcome=inspect.getsource(_pair_outcome))
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(facevec.__file__)))
         fresh = {}
@@ -335,31 +339,27 @@ class TestPairGoldenAndMemos:
                             for o in json.loads(proc.stdout)]
         assert any(isinstance(o, str) and "closure" in o for o in fresh["300"])
         assert any(isinstance(o, str) and "clique count" in o for o in fresh["200"])
-        construct_mod._shadow_count.cache_clear()
         ffk_bound.cache_clear()
         g = random_graph(12, Fraction(3, 4), "pairguard:0")
         for guard in ("1000", "300", "200", "300", "1000", "300"):
             monkeypatch.setenv("FACEVEC_GUARD", guard)
             assert [_pair_outcome(g, 6, k) for k in range(1, 7)] == fresh[guard]
 
-    def test_shadow_count_is_the_walk_it_wraps(self):
-        # as in the pair construction: the link holds k-faces, on enough colors
+    def test_padded_shadow_is_the_walk(self):
+        # as in the pair construction: the link holds k-faces, on enough
+        # colors, and (k+1)-faces within the colored bound; the walk of the
+        # segments' closure is the oracle
+        cases = 0
         for colors in range(2, 6):
             for k in range(2, colors + 1):
                 for ck in range(1, 30, 3):
-                    for ck1 in range(0, 12, 2) if k < colors else (0,):
+                    for ck1 in range(0, ffk_bound(ck, k, colors) + 1, 2):
                         segments = first_permissible_ksets(ck, k, colors)
                         segments += first_permissible_ksets(ck1, k + 1, colors)
-                        walked = len(construct_mod._close(segments, k - 1, CAP)[1][k - 1])
-                        assert construct_mod._shadow_count(ck, ck1, k, colors, CAP) == walked
-
-    def test_shadow_count_keeps_no_trip(self):
-        construct_mod._shadow_count.cache_clear()
-        with pytest.raises(GuardExceeded):
-            construct_mod._shadow_count(40, 20, 3, 4, 30)
-        assert construct_mod._shadow_count(40, 20, 3, 4, CAP) > 0
-        with pytest.raises(GuardExceeded):
-            construct_mod._shadow_count(40, 20, 3, 4, 30)
+                        walked = len(complexes_mod._close(segments, k - 1, CAP)[1][k - 1])
+                        assert ffk_canonical(ck, k, colors).shadow() == walked
+                        cases += 1
+        assert cases > 300
 
 
 class TestConstructBalanced:

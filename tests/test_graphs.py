@@ -67,6 +67,21 @@ class TestParseEdgeList:
             parse_graph("3 2\n1 2\n")
 
 
+class TestParseEmptyInput:
+    @pytest.mark.parametrize("fmt, message", [(None, "empty graph input"),
+                                              ("edges", "empty edge-list input"),
+                                              ("graph6", "empty graph6 input")])
+    def test_empty_input_names_the_format(self, fmt, message):
+        for text in ("", "\n  \n", "# only a comment\n\n# and another"):
+            with pytest.raises(InputFormatError, match=f"^{message}$"):
+                parse_graph(text, fmt=fmt)
+
+    def test_unknown_format_is_refused_before_the_content(self):
+        for text in ("", "3 1\n1 2\n", "D?{"):
+            with pytest.raises(InputFormatError, match=r"^unknown graph format 'bogus'$"):
+                parse_graph(text, fmt="bogus")
+
+
 class TestParseGraph6:
     def test_spec_probe_line(self):
         # decoded independently: a 4-star centered at vertex 5
