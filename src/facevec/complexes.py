@@ -140,8 +140,6 @@ def chromatic_number(g: graphs.Graph) -> int:
         raise ValueError(f"too many vertices for exact coloring: {n} > {CHROMATIC_CAP}")
     if n == 0:
         return 0
-    if not any(g.adj):
-        return 1
 
     # Greedy clique gives a valid lower bound, greedy coloring an upper bound.
     order = sorted(range(n), key=lambda v: -g.adj[v].bit_count())

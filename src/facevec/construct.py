@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .combinat import ffk_bound, ffk_canonical
+from .combinat import ffk_bound
 from .complexes import ColoredComplex, complex_and_face_vector, vec_entry
 from .errors import InvariantViolation
 from .graphs import Graph, _clique_counts, clique_vector
@@ -141,21 +141,13 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
     if ffk_bound(ck_link, k, r - 1) < ck1_link:
         raise InvariantViolation("link counts violate the colored shadow bound")
 
-    # Base levels: the link's counts at (k, k+1), with the (k-1)-level padded
-    # up to cover both the forced shadow and every b_i <= c_{k-1}(g).  Within
-    # the bound just checked, the first c_{k+1} (k+1)-sets lie over the first
-    # c_k k-sets.  Their shadow is an initial segment (Frankl-Füredi-Kalai),
-    # as long as the canonical form of c_k read one index down.
-    entries: list[tuple[int, int]] = []
-    pad = 0
-    if k >= 2:
-        pad = max(vec_entry(cv, k - 1), ffk_canonical(ck_link, k, r - 1).shadow())
-        entries.append((k - 1, pad))
-        if ffk_bound(pad, k - 1, r - 1) < ck_link:
-            raise InvariantViolation("padded level cannot support the link's k-faces")
-    entries.append((k, ck_link))
-    entries.append((k + 1, ck1_link))
-    levels = LevelSpec.of(*entries)
+    # Base levels: the link's counts at (k, k+1), over the subgraph's own
+    # c_{k-1}, which covers every b_i and, by the colored bound on the flag
+    # link, the shadow of its c_k k-sets: the check below is that theorem.
+    pad = vec_entry(cv, k - 1) if k >= 2 else 0
+    if k >= 2 and ffk_bound(pad, k - 1, r - 1) < ck_link:
+        raise InvariantViolation("padded level cannot support the link's k-faces")
+    levels = LevelSpec.of(*([(k - 1, pad)] if k >= 2 else []), (k, ck_link), (k + 1, ck1_link))
 
     for v, a, b in reversed(steps):
         if a > ck_link:

@@ -9,12 +9,11 @@ assertions, so a bug surfaces as a replayable counterexample.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .complexes import ColoredComplex, check_coloring, complex_and_face_vector, is_balanced
+from .complexes import check_coloring, complex_and_face_vector, is_balanced
 from .construct import construct_from_vector
 from .errors import GuardExceeded
 from .graphs import Graph, clique_vector, graph6_encode, packed_clique_rows, unpack_clique_vector
@@ -73,19 +72,6 @@ def tally(records) -> VerificationReport:
     return VerificationReport(total, total - len(failures), tuple(failures))
 
 
-def _balanced_flag(cc: ColoredComplex) -> bool:
-    """Balancedness of a constructed complex.
-
-    Exact chromatic check when the skeleton is small; beyond the exact cap the
-    proper coloring itself certifies chromatic <= colors used, which pins the
-    chromatic number whenever colors used <= dimension + 1.
-    """
-    cx = cc.complex
-    if len(cx.vertices) <= CHROMATIC_CAP:
-        return is_balanced(cx)
-    return check_coloring(cc) and cc.colors_used() <= cx.dimension + 1
-
-
 def verify_graph(g: Graph) -> GraphRecord:
     """Run the construction on one graph and recount everything brute force;
     the record names the graph by its graph6 string."""
@@ -102,6 +88,12 @@ def _verified_record(cv: tuple[int, ...], gid: str) -> GraphRecord:
         cc, report = construct_from_vector(cv)
     except GuardExceeded as exc:
         return GraphRecord(gid, cv, len(cv) - 1, (), (), False, False, False, error=str(exc))
+    cx = cc.complex
+    coloring_ok = check_coloring(cc)
+    # Exact chromatic check up to the cap; beyond it the proper coloring certifies
+    # chromatic <= colors used, which pins it whenever colors used <= dimension + 1.
+    balanced_ok = (is_balanced(cx) if len(cx.vertices) <= CHROMATIC_CAP
+                   else coloring_ok and cc.colors_used() <= cx.dimension + 1)
     return GraphRecord(
         graph_id=gid,
         clique_vec=cv,
@@ -109,8 +101,8 @@ def _verified_record(cv: tuple[int, ...], gid: str) -> GraphRecord:
         margins=report.margins,
         face_vec=report.face_vec,
         vectors_equal=report.face_vec == cv,
-        coloring_ok=check_coloring(cc),
-        balanced_ok=_balanced_flag(cc),
+        coloring_ok=coloring_ok,
+        balanced_ok=balanced_ok,
     )
 
 
@@ -166,29 +158,19 @@ def iter_exhaustive_records(n: int):
 def exhaustive_verify(n: int) -> VerificationReport:
     """Verify every labeled graph on n vertices; failures come in mask order.
 
-    Graphs are counted per distinct clique vector, whose ``ok`` is read once,
-    on its first sight; per-graph records are built only for the failing
-    graphs, in the rows that hold them.
+    Each row reads the memo once per distinct vector, in first-sight order;
+    per-graph records are built only for the failing graphs, in the rows that
+    hold them.
     """
     rows, memo = exhaustive_sweep(n)
-    passed: dict[int, bool] = {}  # packed -> memo[packed].ok
-    total = passes = 0
+    total = 0
     failures: list[GraphRecord] = []
     for first, vectors in rows:
-        failing = False
-        for packed, graphs in Counter(vectors).items():  # first sights in mask order
-            total += graphs
-            ok = passed.get(packed)
-            if ok is None:
-                ok = passed[packed] = memo[packed].ok
-            if ok:
-                passes += graphs
-            else:
-                failing = True
-        if failing:
+        total += len(vectors)
+        if not all(memo[packed].ok for packed in dict.fromkeys(vectors)):
             failures += [replace(memo[packed], graph_id=f"mask:{n}:{mask}")
-                         for mask, packed in enumerate(vectors, first) if not passed[packed]]
-    return VerificationReport(total, passes, tuple(failures))
+                         for mask, packed in enumerate(vectors, first) if not memo[packed].ok]
+    return VerificationReport(total, total - len(failures), tuple(failures))
 
 
 def random_graph(n: int, p: Fraction, key: str) -> Graph:

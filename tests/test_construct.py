@@ -30,6 +30,7 @@ from facevec import construct as construct_mod
 from facevec.combinat import ffk_bound, ffk_canonical
 from facevec.complexes import validate_face, vec_entry
 from facevec.errors import GuardExceeded
+from facevec.graphs import _clique_counts
 from facevec.limits import DEFAULT_FACE_GUARD as CAP
 from facevec.revlex import first_permissible_ksets
 from facevec.verify import random_graph
@@ -157,7 +158,7 @@ class TestConstructPairTrace:
 
     def test_one_complex_per_call(self, monkeypatch):
         # A pair complex is one walk outside the trace; the audited levels
-        # read their padded shadows off canonical forms, with no walk.
+        # pad with counts they already hold, with no walk.
         depth, built, walks = [0], [], []
 
         def tracing(*args):
@@ -345,9 +346,27 @@ class TestPairGoldenAndMemos:
             monkeypatch.setenv("FACEVEC_GUARD", guard)
             assert [_pair_outcome(g, 6, k) for k in range(1, 7)] == fresh[guard]
 
+    def test_padded_level_is_the_subgraphs_own(self):
+        # every cone level pads its (k-1)-level with the c_{k-1} of the
+        # subgraph it traces: g, then the pivot links taken so far
+        cases = 0
+        for i in range(40):
+            g = random_graph(16, Fraction(1, 2), f"pairgold:{i}")
+            w = len(clique_vector(g)) - 1
+            for r in (w, w + 1):
+                for k in range(2, w + 2):
+                    _, trace = construct_pair(g, r, k)
+                    within = (1 << g.n) - 1
+                    while trace.kind == "cone":
+                        assert trace.base_levels[0] == (k - 1, _clique_counts(g.adj, within, CAP)[k - 1])
+                        within &= g.adj[trace.pivot - 1]
+                        trace = trace.sub
+                        cases += 1
+        assert cases == 458
+
     def test_padded_shadow_is_the_walk(self):
-        # as in the pair construction: the link holds k-faces, on enough
-        # colors, and (k+1)-faces within the colored bound; the walk of the
+        # k-faces on enough colors and (k+1)-faces within the colored bound,
+        # as a pair construction's link holds them; the walk of the
         # segments' closure is the oracle
         cases = 0
         for colors in range(2, 6):

@@ -23,6 +23,7 @@ from facevec import (
 from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded
 from facevec.graphs import _clique_counts, _mask_adjacency, packed_clique_rows, unpack_clique_vector
+from facevec.limits import CHROMATIC_CAP
 from facevec.verify import iter_exhaustive_records, iter_random_records, random_graph, tally
 
 from conftest import complete_graph
@@ -59,6 +60,19 @@ class TestVerifyGraph:
 
     def test_graph_id_defaults_to_graph6(self, c5):
         assert verify_graph(c5).graph_id.startswith("g6:")
+
+    def test_twin_beyond_the_chromatic_cap_is_certified_by_its_coloring(self, monkeypatch):
+        import facevec.verify as verify_mod
+
+        g = random_graph(22, Fraction(1, 2), "cert:0")
+        rec = verify_graph(g)
+        assert rec.clique_vec[1] == 22 > CHROMATIC_CAP
+        assert rec.ok
+        # past the cap balancedness rests on the coloring check alone
+        monkeypatch.setattr(verify_mod, "check_coloring", lambda cc: False)
+        rec = verify_graph(g)
+        assert rec.vectors_equal
+        assert not rec.coloring_ok and not rec.balanced_ok
 
 
 class TestExhaustive:
@@ -105,6 +119,13 @@ class TestExhaustive:
                 for rec in iter_exhaustive_records(5):
                     seen.append(rec)
         assert len(seen) == (1024 if over is None else over)
+        # the summary reads the same memo, so it trips exactly when the stream does
+        if over is None:
+            report = exhaustive_verify(5)
+            assert (report.total, report.passes) == (1024, 1024)
+        else:
+            with pytest.raises(GuardExceeded, match=f"exceeds the cap {cap}$"):
+                exhaustive_verify(5)
 
     def test_failures_are_kept_in_mask_order(self, monkeypatch):
         import facevec.verify as verify_mod
