@@ -42,7 +42,6 @@ from .revlex import (
     LevelSpec,
     first_ksets,
     first_permissible_ksets,
-    next_kset,
     revlex_faces,
     revlex_key,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "is_balanced",
     "kk_canonical",
     "kk_shadow_bound",
-    "next_kset",
     "one_skeleton",
     "oracle_face_count",
     "parse_graph",

@@ -2,10 +2,10 @@
 
 A set A precedes B (|A| = |B|) when the largest element of their symmetric
 difference lies in B; equivalently, reversed tuples compare lexicographically.
-Plain k-sets are enumerated by successor (``next_kset``).  Permissible
-k-sets come from a nested walk in the same order that never builds a set it
-rejects: the sets are grouped by their largest element, and each group is
-the smaller sets below it whose residues avoid the ones already taken.
+Plain and r-permissible k-sets come from one nested walk in that order that
+never builds a set it rejects: the sets are grouped by their largest
+element, and each group is the smaller sets below it, with r set only those
+whose residues avoid the ones already taken.
 """
 from __future__ import annotations
 
@@ -24,50 +24,30 @@ def revlex_key(face: Face) -> tuple[int, ...]:
     return tuple(reversed(face))
 
 
-def next_kset(face: Face) -> Face:
-    """Successor of a k-set in rev-lex order over all positive integers."""
-    k = len(face)
-    if k == 0:
-        raise ValueError("the empty face has no rev-lex successor")
-    for i in range(k):
-        bumped = face[i] + 1
-        if i + 1 == k or bumped < face[i + 1]:
-            return tuple(range(1, i + 1)) + (bumped,) + face[i + 1:]
-    raise AssertionError("unreachable")
-
-
-def _successors(k: int) -> Iterator[Face]:
-    """Every k-set in rev-lex order, one ``next_kset`` step at a time."""
-    face = tuple(range(1, k + 1))
-    while True:
-        yield face
-        face = next_kset(face)
-
-
-def _permissible_walk(k: int, r: int) -> Iterator[Face]:
-    """Every r-permissible k-set in rev-lex order, with no set rejected.
+def _walk(k: int, r: int | None) -> Iterator[Face]:
+    """Every k-set in rev-lex order, only the r-permissible ones when r is set.
 
     Rev-lex order is nested: the sets come grouped by their largest element
     ``top``, rising from k, and the group of ``top`` is the (j-1)-sets below
-    it, in the same order, whose residues mod r avoid the bitmask ``used`` of
-    the residues taken above.  A branch is entered only when the values below
-    its top still hold as many free residues as elements are needed, so every
-    branch yields and each set costs O(k) amortised.
+    it, in the same order.  With r set, those are the ones whose residues mod
+    r avoid the bitmask ``used`` of the residues taken above, and a branch is
+    entered only when the values below its top still hold as many free
+    residues as elements are needed.  Either way every branch yields, so no
+    set is rejected and each costs O(k) amortised.
     """
-    full = (1 << r) - 1
-
     def below(j: int, tops, used: int, suffix: Face) -> Iterator[Face]:
         for top in tops:
-            bit = 1 << top % r
+            bit = 0 if r is None else 1 << top % r
             if used & bit:
                 continue
             if j == 1:
                 yield (top,) + suffix
                 continue
             used_here = used | bit
-            # The residues of 1..top-1: all r once top > r, else 1..top-1.
-            free = (full if top > r else (1 << top) - 2) & ~used_here
-            if free.bit_count() >= j - 1:
+            # Once top > r every residue occurs below it, and with k - j + 1
+            # of them used, k <= r leaves the j - 1 needed free; below a
+            # smaller top the residues are the values 1..top-1 themselves.
+            if r is None or top > r or ((1 << top) - 2 & ~used_here).bit_count() >= j - 1:
                 yield from below(j - 1, range(j - 1, top), used_here, (top,) + suffix)
 
     return below(k, count(k), 0, ())
@@ -90,8 +70,7 @@ def _segment(m: int, k: int, r: int | None) -> list[Face]:
     entry = _segments.get((k, r))
     if entry is None or len(entry[0]) < m:
         with _segment_lock:
-            seg, walk = _segments.setdefault(
-                (k, r), ([], _successors(k) if r is None else _permissible_walk(k, r)))
+            seg, walk = _segments.setdefault((k, r), ([], _walk(k, r)))
             seg.extend(islice(walk, max(0, m - len(seg))))
     return _segments[k, r][0][:m]
 

@@ -36,6 +36,18 @@ def sort_revlex(faces):
     return out
 
 
+def next_kset(face):
+    """Successor of a k-set in rev-lex order over all positive integers."""
+    k = len(face)
+    if k == 0:
+        raise ValueError("the empty face has no rev-lex successor")
+    for i in range(k):
+        bumped = face[i] + 1
+        if i + 1 == k or bumped < face[i + 1]:
+            return tuple(range(1, i + 1)) + (bumped,) + face[i + 1:]
+    raise AssertionError("unreachable")
+
+
 def kset_rank(face):
     """0-based rev-lex position via the combinatorial number system."""
     return sum(comb(v - 1, i) for i, v in enumerate(face, start=1))

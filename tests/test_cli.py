@@ -91,6 +91,15 @@ class TestGoldenOutputs:
             "facet 2 5\n"
         )
 
+    def test_revlex_huge_color_budget(self):
+        # the walk builds no 2^r residue mask, so any budget r >= k is cheap
+        code, out, err = invoke(
+            ["revlex", "--levels", "1:1", "--colors", "1000000000000", "--emit-faces"])
+        assert (code, err) == (0, "")
+        assert out == "face-vector 1 1\ncoloring 1:1\nfacet 1\n"
+        code, out, _ = invoke(["revlex", "--levels", "2:3,3:1", "--colors", "1000000000000"])
+        assert (code, out) == (0, "face-vector 1 3 3 1\n")
+
     def test_revlex_plain(self):
         code, out, _ = invoke(["revlex", "--levels", "3:99,4:146"])
         assert code == 0
@@ -188,6 +197,13 @@ class TestConstructPairCommand:
         assert lines[1] == "k 1"
         assert lines[2] == "targets 5 5"
         assert lines[3] == "face-vector 1 5 5"
+
+    def test_huge_color_budget(self, pentagon_file):
+        code, out, err = invoke(
+            ["construct-pair", pentagon_file, "--k", "1", "--r", "1000000000000"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:4] == [
+            "colors 1000000000000", "k 1", "targets 5 5", "face-vector 1 5 5"]
 
     def test_trace_lines(self, pentagon_file):
         code, out, _ = invoke(["construct-pair", pentagon_file, "--k", "1", "--trace"])

@@ -11,7 +11,6 @@ from facevec import (
     first_ksets,
     first_permissible_ksets,
     kk_shadow_bound,
-    next_kset,
     one_skeleton,
     revlex_faces,
     revlex_key,
@@ -25,6 +24,7 @@ from oracles import (
     edges,
     kset_rank,
     kset_unrank,
+    next_kset,
     pairwise_permissible,
     permissible_ksets,
     precedes,
@@ -94,15 +94,15 @@ class TestFirstKsets:
         assert sort_revlex(subsets)[:20] == first_ksets(20, 3)
 
     def test_successor_never_repeats_or_skips(self):
-        seen = set()
-        face = (1, 2, 3)
-        for _ in range(300):
-            assert face not in seen
-            seen.add(face)
-            face = next_kset(face)
+        # the nested walk against one successor step at a time from (1, ..., k)
+        for k in (*range(1, 9), 14, 20):
+            chain = [tuple(range(1, k + 1))]
+            for _ in range(1999):
+                chain.append(next_kset(chain[-1]))
+            assert first_ksets(2000, k) == chain
 
     def test_rank_consistency(self):
-        # combinatorial number system: position against successor stepping
+        # combinatorial number system: rank and unrank against the walk's positions
         for k in range(1, 6):
             for idx, face in enumerate(first_ksets(10_000, k)):
                 assert kset_rank(face) == idx
@@ -189,6 +189,27 @@ class TestPermissibleWalk:
                 assert first_permissible_ksets(7, k, r) == expected[:7]
                 assert first_permissible_ksets(3000, k, r) == expected
 
+    def test_every_branch_entered_yields(self, monkeypatch):
+        # exact pruning: the walk opens one range per distinct proper suffix of
+        # the sets it has yielded, so a loosened free-residue count shows here
+        import facevec.revlex as rl
+
+        opened = []
+        monkeypatch.setattr(rl, "range", lambda *a: opened.append(a) or range(*a), raising=False)
+        for r in (*range(1, 11), None):
+            for k in range(1, (r or 6) + 1):
+                rl._segments.pop((k, r), None)
+                opened.clear()
+                seg = rl._segment(3000, k, r)
+                assert len(opened) == len({f[i:] for f in seg for i in range(1, k)})
+
+    def test_agrees_with_the_plain_walk_where_the_filter_is_vacuous(self):
+        # every k-subset of 1..r is r-permissible and precedes any set reaching r + 1
+        for r in range(1, 11):
+            for k in range(1, r + 1):
+                m = comb(r, k)
+                assert first_permissible_ksets(m, k, r) == first_ksets(m, k)
+
     def test_near_full_residue_use_costs_no_rejections(self):
         # k close to r rejects almost every k-set: by rejection these took 3.8 s
         # and 5.1 s on a 2-core x86 box under Python 3.11
@@ -223,24 +244,25 @@ class TestShadowContainment:
 
 
 class TestConcurrentEnumeration:
-    def test_segments_stay_consistent_under_threads(self):
+    @pytest.mark.parametrize("k, r", [(3, 4), (3, None)])
+    def test_segments_stay_consistent_under_threads(self, k, r):
         import threading
 
         import facevec.revlex as rl
 
-        rl._segments.pop((3, 4), None)
+        rl._segments.pop((k, r), None)
         results = []
 
         def worker():
-            results.append(first_permissible_ksets(400, 3, 4))
+            results.append(rl._segment(400, k, r))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        expected = first_permissible_ksets(400, 3, 4)
-        assert all(r == expected for r in results)
+        expected = rl._segment(400, k, r)
+        assert all(seg == expected for seg in results)
         assert len(set(expected)) == 400
 
 
