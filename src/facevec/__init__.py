@@ -44,6 +44,7 @@ from .revlex import (
     first_permissible_ksets,
     revlex_faces,
     revlex_key,
+    revlex_tails,
 )
 from .verify import (
     GraphRecord,
@@ -92,6 +93,7 @@ __all__ = [
     "random_verify",
     "revlex_faces",
     "revlex_key",
+    "revlex_tails",
     "turan_binom",
     "verify_graph",
 ]

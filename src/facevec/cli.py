@@ -13,16 +13,17 @@ import os
 import sys
 import warnings
 from dataclasses import replace
+from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
 
 from . import verify as verify_mod
 from .combinat import CanonicalRep, ffk_canonical, kk_canonical
-from .complexes import ColoredComplex, complex_and_face_vector, vec_entry
+from .complexes import ColoredComplex, Complex, vec_entry
 from .construct import ConstructionTrace, _construct_pair, construct_balanced
 from .errors import GuardExceeded, InputFormatError, InvariantViolation
 from .graphs import clique_vector, parse_graph
-from .revlex import LevelSpec, residue_colored, revlex_faces
+from .revlex import LevelSpec, residue_colored, revlex_tails
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -66,23 +67,30 @@ FACET_BLOCK = 4096  # facet lines per write
 
 
 def _write_facets(facets, out) -> None:
-    """One "facet v1 v2 ..." line per facet, smaller facets first and each
-    size in rev-lex order, written a block of lines at a time."""
+    """One "facet v1 v2 ..." line per facet, in the order given, written a
+    block of lines at a time."""
+    for size, run in groupby(facets, len):
+        line = ("facet " + " ".join(["%d"] * size) + "\n").__mod__
+        while block := list(islice(run, FACET_BLOCK)):
+            out.write("".join(map(line, block)))
+
+
+def _printed_order(facets) -> list:
+    """``facets`` smaller first and each size in rev-lex order, the order
+    ``revlex_tails`` gives them in, for a complex built without it."""
     by_size: dict[int, list] = {}
     for facet in facets:
         by_size.setdefault(len(facet), []).append(facet)
-    for size, group in sorted(by_size.items()):
-        if size:  # rev-lex: the reversed tuple, read by a C key
-            group.sort(key=itemgetter(*range(size - 1, -1, -1)))
-        line = ("facet " + " ".join(["%d"] * size) + "\n").__mod__
-        for start in range(0, len(group), FACET_BLOCK):
-            out.write("".join(map(line, group[start:start + FACET_BLOCK])))
+    return [f for size, group in sorted(by_size.items())  # rev-lex: a C key on the reversal
+            for f in sorted(group, key=itemgetter(*range(size - 1, -1, -1)) if size else None)]
 
 
-def _print_complex(cc: ColoredComplex, out) -> None:
+def _print_complex(cc: ColoredComplex, facets, out) -> None:
+    """The coloring line, then ``facets``: the complex's facets in printed
+    order, smaller facets first and each size in rev-lex order."""
     coloring = " ".join(f"{v}:{cc.coloring[v]}" for v in cc.complex.vertices)
     print(f"coloring {coloring}".rstrip(), file=out)
-    _write_facets(cc.complex.facets, out)
+    _write_facets(facets, out)
 
 
 def _print_trace(trace: ConstructionTrace, out, depth: int = 0) -> None:
@@ -139,13 +147,13 @@ def _cmd_canonical(args, out) -> int:
 
 
 def _cmd_revlex(args, out) -> int:
-    cx, vec = complex_and_face_vector(revlex_faces(LevelSpec.parse(args.levels), args.colors))
+    vec, facets = revlex_tails(LevelSpec.parse(args.levels), args.colors)
     print(f"face-vector {_vec_line(vec)}", file=out)
     if args.emit_faces:
         if args.colors is None:
-            _write_facets(cx.facets, out)
+            _write_facets(facets, out)
         else:
-            _print_complex(residue_colored(cx, args.colors), out)
+            _print_complex(residue_colored(Complex(frozenset(facets)), args.colors), facets, out)
     return EXIT_OK
 
 
@@ -155,7 +163,7 @@ def _cmd_construct(args, out) -> int:
     print(f"colors {report.colors}", file=out)
     print(f"clique-vector {_vec_line(report.clique_vec)}", file=out)
     print(f"face-vector {_vec_line(report.face_vec)}", file=out)
-    _print_complex(cc, out)
+    _print_complex(cc, report.facets, out)
     if args.trace:
         print("margins " + (_vec_line(report.margins) or "-"), file=out)
     return EXIT_OK
@@ -170,7 +178,7 @@ def _cmd_construct_pair(args, out) -> int:
     print(f"k {args.k}", file=out)
     print(f"targets {vec_entry(cv, args.k)} {vec_entry(cv, args.k + 1)}", file=out)
     print(f"face-vector {_vec_line(face_vec)}", file=out)
-    _print_complex(cc, out)
+    _print_complex(cc, _printed_order(cc.complex.facets), out)
     if args.trace:
         _print_trace(trace, out)
     return EXIT_OK

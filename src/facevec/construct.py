@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .combinat import ffk_bound
-from .complexes import ColoredComplex, complex_and_face_vector, vec_entry
+from .complexes import ColoredComplex, Complex, Face, complex_and_face_vector, vec_entry
 from .errors import InvariantViolation
 from .graphs import Graph, _clique_counts, clique_vector
 from .limits import face_guard
-from .revlex import LevelSpec, first_permissible_ksets, residue_colored, revlex_faces
+from .revlex import LevelSpec, first_permissible_ksets, residue_colored, revlex_faces, revlex_tails
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,17 @@ class BalancedReport:
     clique_vec: tuple[int, ...]
     face_vec: tuple[int, ...]
     margins: tuple[int, ...] = field(default=())  # ffk bound slack per level pair
+    # The twin's facets in printed order: smaller first, each size in rev-lex order.
+    facets: tuple[Face, ...] = field(default=(), compare=False, repr=False)
 
 
 def construct_from_vector(cv: tuple[int, ...]) -> tuple[ColoredComplex, BalancedReport]:
     """Whole-vector construction from a clique vector alone.
 
     The output is a function of the vector, not of the graph it came from;
-    ``construct_balanced`` is this plus the clique count of its input.
+    ``construct_balanced`` is this plus the clique count of its input.  The
+    reported face vector is derived from the level counts, not counted on a
+    walk of the complex (``revlex_tails``).
     """
     r = len(cv) - 1
     margins = []
@@ -199,10 +203,11 @@ def construct_from_vector(cv: tuple[int, ...]) -> tuple[ColoredComplex, Balanced
         if slack < 0:
             raise InvariantViolation(f"clique vector {cv} violates the colored bound at level {i}")
         margins.append(slack)
-    faces = revlex_faces(LevelSpec.of(*((i, cv[i]) for i in range(1, r + 1))), r) if r else [()]
-    cx, face_vec = complex_and_face_vector(faces)
-    report = BalancedReport(colors=r, clique_vec=cv, face_vec=face_vec, margins=tuple(margins))
-    return residue_colored(cx, r), report
+    face_vec, facets = (revlex_tails(LevelSpec.of(*((i, cv[i]) for i in range(1, r + 1))), r)
+                        if r else ((1,), [()]))
+    report = BalancedReport(colors=r, clique_vec=cv, face_vec=face_vec, margins=tuple(margins),
+                            facets=tuple(facets))
+    return residue_colored(Complex(frozenset(facets)), r), report
 
 
 def construct_balanced(g: Graph) -> tuple[ColoredComplex, BalancedReport]:

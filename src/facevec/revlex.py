@@ -12,9 +12,11 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import count, islice
 
-from .complexes import ColoredComplex, Complex, Face
+from .combinat import ffk_canonical, kk_canonical
+from .complexes import ColoredComplex, Complex, Face, FaceVector
 from .errors import GuardExceeded, InputFormatError
 from .limits import face_guard
 
@@ -90,9 +92,17 @@ def first_permissible_ksets(m: int, k: int, r: int) -> list[Face]:
     """
     if k < 1:
         raise ValueError("face size must be positive")
+    _require_permissible(m, k, r)
+    return _segment(m, k, r)
+
+
+def _require_permissible(m: int, k: int, r: int) -> None:
     if k > r and m > 0:
         raise ValueError(f"no {r}-permissible {k}-set exists; cannot produce {m}")
-    return _segment(m, k, r)
+
+
+def _first(m: int, k: int, colors: int | None) -> list[Face]:
+    return first_ksets(m, k) if colors is None else first_permissible_ksets(m, k, colors)
 
 
 @dataclass(frozen=True)
@@ -139,6 +149,17 @@ class LevelSpec:
             raise InputFormatError(str(exc)) from None
 
 
+def _admit(spec: LevelSpec, colors: int | None) -> int:
+    """The face cap, once the color budget and the requested counts pass it:
+    the empty face plus the requested faces, all distinct, must fit."""
+    if colors is not None and colors < 1:
+        raise ValueError("need at least one color")
+    cap = face_guard()
+    if 1 + sum(m for _, m in spec.entries) > cap:
+        raise GuardExceeded(f"requested levels exceed the face cap {cap}")
+    return cap
+
+
 def revlex_faces(spec: LevelSpec, colors: int | None = None) -> list[Face]:
     """The requested initial segments, r-permissible ones when ``colors`` is r.
 
@@ -146,16 +167,44 @@ def revlex_faces(spec: LevelSpec, colors: int | None = None) -> list[Face]:
     the void one.  Refused before enumerating when the empty face plus the
     requested faces (all distinct) pass the guard.
     """
-    if colors is not None and colors < 1:
-        raise ValueError("need at least one color")
-    cap = face_guard()
-    if 1 + sum(m for _, m in spec.entries) > cap:
-        raise GuardExceeded(f"requested levels exceed the face cap {cap}")
-    faces: list[Face] = []
-    for size, m in spec.entries:
-        faces.extend(first_ksets(m, size) if colors is None
-                     else first_permissible_ksets(m, size, colors))
-    return faces or [()]
+    _admit(spec, colors)
+    return [f for size, m in spec.entries for f in _first(m, size, colors)] or [()]
+
+
+def revlex_tails(spec: LevelSpec, colors: int | None = None
+                 ) -> tuple[FaceVector, list[Face]]:
+    """Face vector and facets of the complex ``revlex_faces`` generates,
+    read off the level counts: the facets come smaller first, each size in
+    rev-lex order, and are [()] when every count is 0.
+
+    The (s-1)-shadow of the first L s-sets, plain or r-permissible, is
+    itself an initial segment, of length ``CanonicalRep.shadow()`` of L at s
+    (Kruskal-Katona; Frankl-Füredi-Kalai for colored sets).  So, from the
+    top down, level s holds L_s = max(m_s, shadow of L_{s+1}) sets, and its
+    facets are the requested sets past that shadow.  The closure's
+    1 + sum(L) faces pass the guard, or trip it where a walk of the closure
+    would, before any segment is enumerated.
+    """
+    cap = _admit(spec, colors)
+    if colors is not None:
+        for size, m in spec.entries:
+            _require_permissible(m, size, colors)
+    canonical = kk_canonical if colors is None else partial(ffk_canonical, r=colors)
+    given = dict(spec.entries)
+    lengths: list[int] = []
+    tails: list[tuple[int, int, int]] = []
+    shadow = 0
+    for s in range(max((s for s, m in spec.entries if m), default=0), 0, -1):
+        m = given.get(s, 0)
+        lengths.append(max(m, shadow))
+        if m > shadow:
+            tails.append((s, shadow, m))
+        shadow = canonical(lengths[-1], s).shadow()
+    vec = (1, *reversed(lengths))
+    if sum(vec) > cap:
+        raise GuardExceeded(f"closure exceeds the face cap {cap}")
+    facets = [f for s, start, m in reversed(tails) for f in _first(m, s, colors)[start:]]
+    return vec, facets or [()]
 
 
 def residue_colored(cx: Complex, colors: int) -> ColoredComplex:

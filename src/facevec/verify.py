@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .complexes import check_coloring, complex_and_face_vector, is_balanced
+from .complexes import check_coloring, complex_and_face_vector, face_vector, is_balanced
 from .construct import construct_from_vector
 from .errors import GuardExceeded
 from .graphs import Graph, clique_vector, graph6_encode, packed_clique_rows, unpack_clique_vector
@@ -89,6 +89,9 @@ def _verified_record(cv: tuple[int, ...], gid: str) -> GraphRecord:
     except GuardExceeded as exc:
         return GraphRecord(gid, cv, len(cv) - 1, (), (), False, False, False, error=str(exc))
     cx = cc.complex
+    # The face vector the construction derived is checked against a walk of
+    # the twin, which holds the 1 + sum(L) faces the guard already admitted.
+    recount = face_vector(cx)
     coloring_ok = check_coloring(cc)
     # Exact chromatic check up to the cap; beyond it the proper coloring certifies
     # chromatic <= colors used, which pins it whenever colors used <= dimension + 1.
@@ -100,7 +103,7 @@ def _verified_record(cv: tuple[int, ...], gid: str) -> GraphRecord:
         colors=report.colors,
         margins=report.margins,
         face_vec=report.face_vec,
-        vectors_equal=report.face_vec == cv,
+        vectors_equal=recount == report.face_vec == cv,
         coloring_ok=coloring_ok,
         balanced_ok=balanced_ok,
     )

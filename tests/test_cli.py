@@ -10,7 +10,10 @@ import pytest
 
 import facevec
 from facevec.cli import run
+from facevec.complexes import complex_and_face_vector
+from facevec.errors import GuardExceeded
 from facevec.graphs import graph6_encode
+from facevec.revlex import LevelSpec, revlex_faces
 from facevec.verify import random_graph
 
 PENTAGON = "5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
@@ -489,6 +492,19 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert err.startswith("facevec: resource guard:") and err.count("\n") == 1
         assert peak < 50 * 2**20
+
+    def test_revlex_guard_lines_are_the_walks(self, monkeypatch):
+        # the command no longer walks its complex; it trips where the walk
+        # of the same faces does, with the walk's message
+        spec = LevelSpec.of((1, 5), (3, 3))
+        for cap in (8, 12):
+            monkeypatch.setenv("FACEVEC_GUARD", str(cap))
+            with pytest.raises(GuardExceeded) as walked:
+                complex_and_face_vector(revlex_faces(spec))
+            code, out, err = invoke(["revlex", "--levels", "1:5,3:3", "--emit-faces"])
+            assert code == 4 and out == ""
+            assert err == f"facevec: resource guard: {walked.value}\n"
+        assert str(walked.value) == "closure exceeds the face cap 12"
 
     def test_input_error_edge_list_beyond_vertex_cap(self, tmp_path):
         huge = tmp_path / "huge.edges"

@@ -209,16 +209,24 @@ class TestShadow:
     @pytest.mark.parametrize("r", [None, 2, 3, 4, 5, 6])
     def test_shadow_is_the_size_of_the_segments_shadow(self, r):
         # the (k-1)-shadow of the first m rev-lex (r-permissible) k-sets,
-        # grown one set at a time, against the canonical form read one down
+        # grown one set at a time, against the canonical form read one down:
+        # its length, and its sets, the initial (k-1)-segment of that length
         top = 300
         for k in range(1, 6 if r is None else min(r, 5) + 1):
             segment = first_ksets(top, k) if r is None else first_permissible_ksets(top, k, r)
+            # the initial (k-1)-segment the shadows must be, as long as the last
+            most = _canonical(top, k, r).shadow()
+            lower = ([()] if k == 1 else first_ksets(most, k - 1) if r is None
+                     else first_permissible_ksets(most, k - 1, r))
             shadow = set()
             for m in range(top + 1):
-                rep = kk_canonical(m, k) if r is None else ffk_canonical(m, k, r)
+                rep = _canonical(m, k, r)
                 assert rep.shadow() == len(shadow), (m, k, r)
                 if m < top:
-                    shadow.update(segment[m][:i] + segment[m][i + 1:] for i in range(k))
+                    new = {segment[m][:i] + segment[m][i + 1:] for i in range(k)} - shadow
+                    shadow |= new
+                    # with the step before, the shadow is lower[:len(shadow)] as a set
+                    assert new == set(lower[len(shadow) - len(new):len(shadow)]), (m, k, r)
 
 
 class TestBoundProperties:

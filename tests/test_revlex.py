@@ -14,9 +14,10 @@ from facevec import (
     one_skeleton,
     revlex_faces,
     revlex_key,
+    revlex_tails,
 )
 from facevec.complexes import complex_and_face_vector, validate_face
-from facevec.errors import InputFormatError
+from facevec.errors import GuardExceeded, InputFormatError
 from facevec.revlex import residue_colored
 
 from oracles import (
@@ -381,3 +382,92 @@ class TestTwoLevelExactness:
                         vec = face_vector(cc.complex)
                         assert vec[k] == m
                         assert (vec[k + 1] if k + 1 < len(vec) else 0) == m2
+
+
+def _outcome(build):
+    """What a build gives: its face vector and facet set, or its error."""
+    try:
+        vec, facets = build()
+    except (ValueError, GuardExceeded) as exc:
+        return type(exc), str(exc)
+    return vec, frozenset(facets)
+
+
+def _walked(spec, colors):
+    """The slow oracle: ``_close`` walks the generated faces to the empty face."""
+    cx, vec = complex_and_face_vector(revlex_faces(spec, colors))
+    return vec, cx.facets
+
+
+def _tails(spec, colors):
+    vec, facets = revlex_tails(spec, colors)
+    assert len(set(facets)) == len(facets)
+    assert facets == sorted(facets, key=lambda f: (len(f), revlex_key(f)))
+    return vec, facets
+
+
+class TestTailsAgainstTheWalk:
+    """``revlex_tails`` reads the complex off its level counts; the walk of
+    ``revlex_faces`` stays the oracle for its facets, vector and errors."""
+
+    def test_random_specs(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def specs(draw):
+            colors = draw(st.one_of(st.none(), st.integers(1, 6)))
+            # gapped sizes, one past a color budget now and then
+            sizes = draw(st.lists(st.integers(1, 6 if colors is None else colors + 1),
+                                  min_size=1, max_size=4, unique=True))
+            # zero counts, and small counts under a larger level's shadow
+            counts = draw(st.lists(st.one_of(st.just(0), st.integers(0, 6), st.integers(0, 90)),
+                                   min_size=len(sizes), max_size=len(sizes)))
+            return LevelSpec(tuple(zip(sorted(sizes), counts))), colors
+
+        @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @hyp.given(specs())
+        def check(case):
+            spec, colors = case
+            assert _outcome(lambda: _tails(spec, colors)) == _outcome(lambda: _walked(spec, colors))
+
+        check()
+
+    def test_a_deep_simplex_is_one_facet(self):
+        vec, facets = revlex_tails(LevelSpec.of((20, 1)))
+        assert vec == tuple(comb(20, j) for j in range(21))
+        assert facets == [tuple(range(1, 21))]
+
+    def test_guard_trips_where_the_walk_does(self, monkeypatch):
+        # Every cap up to past each closure's size, plain and colored, with
+        # gaps, zero counts and a level beyond the color budget: the same
+        # result or the same one-line error, checks in the same order.
+        cases = [
+            (LevelSpec.of((3, 10)), None),
+            (LevelSpec.of((1, 5), (3, 10)), None),
+            (LevelSpec.of((2, 0), (4, 7)), None),
+            (LevelSpec.of((2, 5), (3, 7)), None),
+            (LevelSpec.of((6, 1)), None),
+            (LevelSpec.of((2, 5)), 2),
+            (LevelSpec.of((1, 9), (3, 12)), 3),
+            (LevelSpec.of((2, 30), (4, 20)), 5),
+            (LevelSpec.of((1, 4), (3, 1)), 2),
+            (LevelSpec.of((2, 3), (3, 0), (4, 2)), 3),
+        ]
+        seen = set()
+        for spec, colors in cases:
+            # every cap up to one past the closure, or past the requested
+            # faces where the counts cannot be built
+            built = _outcome(lambda: _walked(spec, colors))
+            top = sum(built[0]) if isinstance(built[0], tuple) else sum(dict(spec.entries).values())
+            for cap in range(1, top + 2):
+                monkeypatch.setenv("FACEVEC_GUARD", str(cap))
+                expected = _outcome(lambda: _walked(spec, colors))
+                assert _outcome(lambda: _tails(spec, colors)) == expected, (spec, colors, cap)
+                seen.add(expected[1].rstrip("0123456789") if isinstance(expected[1], str)
+                         else "built")
+            monkeypatch.delenv("FACEVEC_GUARD")
+        assert seen == {"built", "requested levels exceed the face cap ",
+                        "closure exceeds the face cap ",
+                        "no 2-permissible 3-set exists; cannot produce ",
+                        "no 3-permissible 4-set exists; cannot produce "}

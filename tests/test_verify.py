@@ -1,3 +1,4 @@
+import io
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -22,7 +23,8 @@ from facevec import (
 )
 from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded
-from facevec.graphs import _clique_counts, _mask_adjacency, packed_clique_rows, unpack_clique_vector
+from facevec.graphs import (_clique_counts, _mask_adjacency, graph6_encode, packed_clique_rows,
+                            unpack_clique_vector)
 from facevec.limits import CHROMATIC_CAP
 from facevec.verify import iter_exhaustive_records, iter_random_records, random_graph, tally
 
@@ -57,6 +59,31 @@ class TestVerifyGraph:
         rec = verify_graph(complete_graph(8))
         assert not rec.ok
         assert rec.error
+
+    @pytest.mark.parametrize("lie", ["vector", "facets"])
+    def test_derived_face_vector_is_recounted(self, lie, c5, monkeypatch, tmp_path):
+        # construct reports the face vector it derives from the level
+        # counts; verify recounts the twin by walk, so a derived vector that
+        # is not the twin's fails, whether it differs from the clique vector
+        # or the twin lost a facet behind a vector equal to it
+        import facevec.construct as construct_mod
+        from facevec.cli import run
+
+        tails = construct_mod.revlex_tails
+
+        def lying(spec, colors):
+            vec, facets = tails(spec, colors)
+            if lie == "vector":
+                return vec[:-1] + (vec[-1] + 1,), facets
+            return vec, facets[:-1]
+
+        monkeypatch.setattr(construct_mod, "revlex_tails", lying)
+        rec = verify_graph(c5)
+        assert not rec.ok and not rec.vectors_equal
+        assert rec.coloring_ok and rec.balanced_ok and not rec.error
+        path = tmp_path / "c5.g6"
+        path.write_text(graph6_encode(c5) + "\n")
+        assert run(["verify", str(path)], out=io.StringIO(), err=io.StringIO()) == 1
 
     def test_graph_id_defaults_to_graph6(self, c5):
         assert verify_graph(c5).graph_id.startswith("g6:")
