@@ -14,7 +14,6 @@ import sys
 import warnings
 from dataclasses import replace
 from itertools import groupby, islice
-from operator import itemgetter
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -73,16 +72,6 @@ def _write_facets(facets, out) -> None:
         line = ("facet " + " ".join(["%d"] * size) + "\n").__mod__
         while block := list(islice(run, FACET_BLOCK)):
             out.write("".join(map(line, block)))
-
-
-def _printed_order(facets) -> list:
-    """``facets`` smaller first and each size in rev-lex order, the order
-    ``revlex_tails`` gives them in, for a complex built without it."""
-    by_size: dict[int, list] = {}
-    for facet in facets:
-        by_size.setdefault(len(facet), []).append(facet)
-    return [f for size, group in sorted(by_size.items())  # rev-lex: a C key on the reversal
-            for f in sorted(group, key=itemgetter(*range(size - 1, -1, -1)) if size else None)]
 
 
 def _print_complex(cc: ColoredComplex, facets, out) -> None:
@@ -173,12 +162,12 @@ def _cmd_construct_pair(args, out) -> int:
     g = _load_graph(args)
     cv = clique_vector(g)
     r = args.r if args.r is not None else max(len(cv) - 1, 1)
-    cc, trace, face_vec = _construct_pair(g, r, args.k, cv)
+    cc, trace, face_vec, facets = _construct_pair(g, r, args.k, cv)
     print(f"colors {r}", file=out)
     print(f"k {args.k}", file=out)
     print(f"targets {vec_entry(cv, args.k)} {vec_entry(cv, args.k + 1)}", file=out)
     print(f"face-vector {_vec_line(face_vec)}", file=out)
-    _print_complex(cc, _printed_order(cc.complex.facets), out)
+    _print_complex(cc, facets, out)
     if args.trace:
         _print_trace(trace, out)
     return EXIT_OK

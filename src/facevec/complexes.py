@@ -112,18 +112,6 @@ def face_vector(c: Complex) -> FaceVector:
     return tuple(map(len, _close(c.facets, 0, face_guard())[1]))
 
 
-def complex_and_face_vector(faces) -> tuple[Complex, FaceVector]:
-    """``Complex.from_faces(faces)`` and its ``face_vector``, from one walk.
-
-    The walk goes down to the empty face, so the vector is the brute-force
-    count of the closure of ``faces``, under the face guard.  The faces are
-    trusted: they come from ``revlex_faces``, and the pair construction's
-    cones over it, valid by construction, so they are not validated again.
-    """
-    facets, levels = _close(faces, 0, face_guard())
-    return Complex(frozenset(facets)), tuple(map(len, levels))
-
-
 def one_skeleton(c: Complex) -> graphs.Graph:
     """Underlying graph: all vertices, edges = two-element faces."""
     verts = c.vertices

@@ -8,14 +8,15 @@ single multi-level colored rev-lex complex.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .combinat import ffk_bound
-from .complexes import ColoredComplex, Complex, Face, complex_and_face_vector, vec_entry
-from .errors import InvariantViolation
+from .complexes import ColoredComplex, Complex, Face, FaceVector, vec_entry
+from .errors import GuardExceeded, InvariantViolation
 from .graphs import Graph, _clique_counts, clique_vector
 from .limits import face_guard
-from .revlex import LevelSpec, first_permissible_ksets, residue_colored, revlex_faces, revlex_tails
+from .revlex import LevelSpec, _levels, _tails, residue_colored, revlex_tails
 
 
 @dataclass(frozen=True)
@@ -50,41 +51,51 @@ def construct_pair(g: Graph, r: int, k: int) -> tuple[ColoredComplex, Constructi
     non-neighbors one at a time, realize the pivot link's counts as a colored
     rev-lex complex on r-1 colors, then cone one fresh color-r vertex per
     peeled vertex over an initial segment sized by that vertex's link counts.
-    Only the top level is realized; the levels below it are audited through
-    their traces alone.  The full clique count of g trips the guard where
-    any count would, and every recount below is of a subgraph, to depth
-    k + 1 at most.
+    Only the top level is realized, read off its level counts; the levels
+    below it are audited through their traces alone.  The full clique count
+    of g trips the guard where any count would, and every recount below is
+    of a subgraph, to depth k + 1 at most.
     """
-    cc, trace, _ = _construct_pair(g, r, k, clique_vector(g))
+    cc, trace, _, _ = _construct_pair(g, r, k, clique_vector(g))
     return cc, trace
 
 
 def _construct_pair(g: Graph, r: int, k: int, cv: tuple[int, ...] | list[int]
-                    ) -> tuple[ColoredComplex, ConstructionTrace, tuple[int, ...]]:
-    """``construct_pair`` from g's full clique vector ``cv``, and the face
-    vector of the complex, counted on its one walk down to the empty face."""
+                    ) -> tuple[ColoredComplex, ConstructionTrace, FaceVector, list[Face]]:
+    """``construct_pair`` from g's full clique vector ``cv``, with the face
+    vector and the printed facets of the complex, read off its levels: each
+    cone's base lies within the base, its lengths count one level up, and a
+    base facet lies past what every cone holds.  The base's counts are g's
+    clique counts, under the guard already; the closure is checked once."""
     if r < 1:
         raise ValueError("need a positive color budget")
     if k < 0:
         raise ValueError("need k >= 0")
     if vec_entry(cv, r + 1) > 0:
         raise ValueError(f"graph has a clique on {r + 1} vertices; budget {r} infeasible")
-    trace = _trace(g, (1 << g.n) - 1, cv, None, r, k, face_guard())
+    cap = face_guard()
+    trace = _trace(g, (1 << g.n) - 1, cv, None, r, k, cap)
 
-    # The base is the rev-lex complex of the trace's levels, residue-colored
-    # on r-1 colors under a cone; each step's fresh color-r vertex is coned
-    # over initial segments of the base's own levels.
-    base_colors = r - 1 if trace.kind == "cone" else r
-    faces = revlex_faces(LevelSpec(trace.base_levels), base_colors)
-    for step in trace.steps:
-        cone_base = [()] + first_permissible_ksets(step.a, k, base_colors)
-        if k >= 2:
-            cone_base += first_permissible_ksets(step.b, k - 1, base_colors)
-        faces += [f + (step.added_vertex,) for f in cone_base]
-    cx, face_vec = complex_and_face_vector(faces)
-    coloring = residue_colored(cx, base_colors).coloring
+    colors = r - 1 if trace.kind == "cone" else r
+    base = list(_levels(LevelSpec(trace.base_levels), colors))
+    cones = [(step.added_vertex,  # ascending, so the cones print in this order
+              list(_levels(LevelSpec.of(*([(k - 1, step.b)] if k >= 2 else []), (k, step.a)),
+                           colors)))
+             for step in reversed(trace.steps)]
+    counts, held = Counter({s: length for s, _, length in base}), Counter()
+    for _, levels in cones:
+        for s, _, length in levels:
+            counts[s + 1] += length
+            held[s] = max(held[s], length)
+    face_vec = tuple(counts[s] for s in range(max(counts) + 1))
+    if sum(face_vec) > cap:
+        raise GuardExceeded(f"closure exceeds the face cap {cap}")
+    facets = sorted(_tails(base, colors, held) + [f + (apex,) for apex, levels in cones
+                                                  for f in _tails(levels, colors, {})], key=len)
+    cx = Complex(frozenset(facets))
+    coloring = residue_colored(cx, colors).coloring
     coloring.update((step.added_vertex, r) for step in trace.steps)
-    return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace, face_vec
+    return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace, face_vec, facets
 
 
 def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
@@ -159,9 +170,9 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
                 raise InvariantViolation(f"step counts ({a}, {b}) violate the colored bound")
 
     # One fresh color-r vertex per peeled vertex, latest peel first, above
-    # the base's largest vertex, the top of some level's last set.
-    last = len(steps) + max((first_permissible_ksets(m, s, r - 1)[-1][-1]
-                             for s, m in levels.entries if m), default=0)
+    # the base's vertices, 1 up to its level-1 length.
+    *_, (_, _, vertices), _ = _levels(levels, r - 1)
+    last = len(steps) + vertices
     recorded = tuple(TraceStep(v, a, b, last - i) for i, (v, a, b) in enumerate(steps))
 
     return ConstructionTrace(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from itertools import count, islice
 
 from .combinat import ffk_canonical, kk_canonical
@@ -171,40 +171,51 @@ def revlex_faces(spec: LevelSpec, colors: int | None = None) -> list[Face]:
     return [f for size, m in spec.entries for f in _first(m, size, colors)] or [()]
 
 
+@lru_cache(maxsize=1 << 14)  # the pair construction's cones repeat their counts
+def _shadow(m: int, s: int, colors: int | None) -> int:
+    """Length of the (s-1)-shadow of the first m s-sets, itself an initial
+    segment (Kruskal-Katona; Frankl-Füredi-Kalai for colored sets)."""
+    return (kk_canonical(m, s) if colors is None else ffk_canonical(m, s, colors)).shadow()
+
+
+def _levels(spec: LevelSpec, colors: int | None) -> Iterator[tuple[int, int, int]]:
+    """Each level of the complex ``revlex_faces`` generates, from the top
+    down to the empty face, as (s, start, L_s): L_s = max(m_s, start) sets,
+    where start is the shadow of level s + 1, taken once it is asked for."""
+    given, shadow = dict(spec.entries), 0
+    for s in range(max((s for s, m in spec.entries if m), default=0), 0, -1):
+        length = max(given.get(s, 0), shadow)
+        yield s, shadow, length
+        shadow = _shadow(length, s, colors)
+    yield 0, shadow, 1
+
+
+def _tails(levels, colors: int | None, held: dict[int, int]) -> list[Face]:
+    """The facets of ``levels``, smaller first and each size in rev-lex
+    order: the s-sets past the shadow and past the first ``held[s]``, which
+    lie in larger faces elsewhere; [()] when no face lies above the empty one."""
+    return [f for s, start, length in reversed(levels)
+            if length > (skip := max(start, held.get(s, 0)))
+            for f in (_first(length, s, colors) if s else [()])[skip:]]
+
+
 def revlex_tails(spec: LevelSpec, colors: int | None = None
                  ) -> tuple[FaceVector, list[Face]]:
-    """Face vector and facets of the complex ``revlex_faces`` generates,
-    read off the level counts: the facets come smaller first, each size in
-    rev-lex order, and are [()] when every count is 0.
-
-    The (s-1)-shadow of the first L s-sets, plain or r-permissible, is
-    itself an initial segment, of length ``CanonicalRep.shadow()`` of L at s
-    (Kruskal-Katona; Frankl-Füredi-Kalai for colored sets).  So, from the
-    top down, level s holds L_s = max(m_s, shadow of L_{s+1}) sets, and its
-    facets are the requested sets past that shadow.  The closure's
-    1 + sum(L) faces pass the guard, or trip it where a walk of the closure
-    would, before any segment is enumerated.
-    """
+    """Face vector and facets (``_tails``) of the complex ``revlex_faces``
+    generates, read off its levels.  The closure's faces are counted against
+    the cap level by level before any segment is enumerated, so the guard
+    trips where a walk of the closure would, as soon as the count passes."""
     cap = _admit(spec, colors)
     if colors is not None:
         for size, m in spec.entries:
             _require_permissible(m, size, colors)
-    canonical = kk_canonical if colors is None else partial(ffk_canonical, r=colors)
-    given = dict(spec.entries)
-    lengths: list[int] = []
-    tails: list[tuple[int, int, int]] = []
-    shadow = 0
-    for s in range(max((s for s, m in spec.entries if m), default=0), 0, -1):
-        m = given.get(s, 0)
-        lengths.append(max(m, shadow))
-        if m > shadow:
-            tails.append((s, shadow, m))
-        shadow = canonical(lengths[-1], s).shadow()
-    vec = (1, *reversed(lengths))
-    if sum(vec) > cap:
-        raise GuardExceeded(f"closure exceeds the face cap {cap}")
-    facets = [f for s, start, m in reversed(tails) for f in _first(m, s, colors)[start:]]
-    return vec, facets or [()]
+    levels, total = [], 0
+    for level in _levels(spec, colors):
+        total += level[2]
+        if total > cap:
+            raise GuardExceeded(f"closure exceeds the face cap {cap}")
+        levels.append(level)
+    return tuple(length for _, _, length in reversed(levels)), _tails(levels, colors, {})
 
 
 def residue_colored(cx: Complex, colors: int) -> ColoredComplex:

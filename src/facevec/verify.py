@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .complexes import check_coloring, complex_and_face_vector, face_vector, is_balanced
+from .complexes import _close, check_coloring, face_vector, is_balanced
 from .construct import construct_from_vector
 from .errors import GuardExceeded
 from .graphs import Graph, clique_vector, graph6_encode, packed_clique_rows, unpack_clique_vector
@@ -218,4 +218,4 @@ def oracle_face_count(spec: LevelSpec, colors: int | None = None) -> tuple[int, 
     Entirely independent of the canonical-representation bound formulas; this
     is the ground truth the bounds are validated against.
     """
-    return complex_and_face_vector(revlex_faces(spec, colors))[1]
+    return tuple(map(len, _close(revlex_faces(spec, colors), 0, face_guard())[1]))

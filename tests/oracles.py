@@ -2,17 +2,22 @@
 
 The oracles work straight from definitions with itertools and math.comb and
 never call into the package, so agreement between the two is evidence, not
-circularity.  The graph helpers at the end are the one exception: they build
-and read the package's ``Graph`` as test inputs, and the tests check them
-against the oracles.
+circularity.  There are two exceptions.  The graph helpers build and read
+the package's ``Graph`` as test inputs, and the tests check them against the
+oracles.  The walk oracles at the end generate faces with the package's
+rev-lex segments and walk their closure with its ``_close``, as the builders
+did before they read their complexes off the level counts; the derived
+builders are held to them, guard trips included.
 """
 from bisect import bisect_right
 from itertools import combinations, product
 from math import comb
 
+from facevec.complexes import Complex, _close
 from facevec.errors import GuardExceeded
 from facevec.graphs import Graph, _adjacency, _lex_pairs
 from facevec.limits import EXHAUSTIVE_CAP, face_guard
+from facevec.revlex import LevelSpec, first_permissible_ksets, revlex_faces
 
 
 def precedes(a, b):
@@ -428,3 +433,28 @@ def all_graphs(n):
         raise ValueError(f"exhaustive generation capped at n <= {EXHAUSTIVE_CAP}")
     for mask in range(1 << comb(n, 2)):
         yield Graph.from_edge_mask(n, mask)
+
+
+def complex_and_face_vector(faces):
+    """The complex the trusted ``faces`` generate and its face vector, from
+    one ``_close`` walk down to the empty face, under the face guard."""
+    facets, levels = _close(faces, 0, face_guard())
+    return Complex(frozenset(facets)), tuple(map(len, levels))
+
+
+def walked_pair(trace):
+    """The pair complex of a top-level ``construct_pair`` trace by its walk:
+    its facets in printed order (smaller first, each size in rev-lex order)
+    and its face vector.  The faces are the rev-lex complex of the trace's
+    levels, on one color fewer under a cone, and one cone per step, from its
+    added vertex over the first a k-sets and b (k-1)-sets."""
+    k = trace.k
+    colors = trace.colors - 1 if trace.kind == "cone" else trace.colors
+    faces = revlex_faces(LevelSpec(trace.base_levels), colors)
+    for step in trace.steps:
+        cone_base = [()] + first_permissible_ksets(step.a, k, colors)
+        if k >= 2:
+            cone_base += first_permissible_ksets(step.b, k - 1, colors)
+        faces += [f + (step.added_vertex,) for f in cone_base]
+    cx, vec = complex_and_face_vector(faces)
+    return sorted(cx.facets, key=lambda f: (len(f), f[::-1])), vec

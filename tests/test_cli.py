@@ -10,11 +10,13 @@ import pytest
 
 import facevec
 from facevec.cli import run
-from facevec.complexes import complex_and_face_vector
 from facevec.errors import GuardExceeded
 from facevec.graphs import graph6_encode
 from facevec.revlex import LevelSpec, revlex_faces
 from facevec.verify import random_graph
+
+from oracles import complex_and_face_vector
+from test_acceptance import Stopwatch
 
 PENTAGON = "5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
 
@@ -492,6 +494,26 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert err.startswith("facevec: resource guard:") and err.count("\n") == 1
         assert peak < 50 * 2**20
+
+    @pytest.mark.parametrize("argv", [["--levels", "1000000000:1"],
+                                      ["--levels", "5000:1", "--colors", "6000"],
+                                      ["--levels", "1000000000:1", "--colors", "1000000000"]])
+    def test_revlex_guard_bounds_the_level_counts(self, argv):
+        # the closure's running count trips at the first level past the
+        # cap, not after every level's length is derived
+        with Stopwatch(1.0):
+            code, out, err = invoke(["revlex"] + argv)
+        assert (code, out) == (4, "")
+        assert err == "facevec: resource guard: closure exceeds the face cap 10000000\n"
+
+    def test_construct_pair_huge_k_stays_cheap(self, tmp_path):
+        # nothing is sized by k: a level past the clique number is flat and empty
+        path = tmp_path / "p3.edges"
+        path.write_text("3 2\n1 2\n2 3\n")
+        with Stopwatch(1.0):
+            code, out, err = invoke(["construct-pair", str(path), "--k", "1000000000"])
+        assert (code, err) == (0, "")
+        assert out == "colors 2\nk 1000000000\ntargets 0 0\nface-vector 1\ncoloring\nfacet \n"
 
     def test_revlex_guard_lines_are_the_walks(self, monkeypatch):
         # the command no longer walks its complex; it trips where the walk

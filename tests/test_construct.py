@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import io
 import json
 import os
 import random
@@ -27,17 +28,20 @@ from facevec import (
 import facevec
 from facevec import complexes as complexes_mod
 from facevec import construct as construct_mod
+from facevec import revlex as revlex_mod
+from facevec.cli import run
 from facevec.combinat import ffk_bound, ffk_canonical
 from facevec.complexes import validate_face, vec_entry
 from facevec.errors import GuardExceeded
-from facevec.graphs import _clique_counts
+from facevec.graphs import _clique_counts, graph6_encode
 from facevec.limits import DEFAULT_FACE_GUARD as CAP
+from facevec.limits import face_guard
 from facevec.revlex import first_permissible_ksets
 from facevec.verify import random_graph
 
 from conftest import complete_graph
 from oracles import (all_graphs, brute_cliques_by_size, brute_closure, brute_face_vector, edges,
-                     graph_from_edges, induced_relabelled, neighbors)
+                     graph_from_edges, induced_relabelled, neighbors, walked_pair)
 
 
 def assert_pair_contract(g, r, k):
@@ -156,57 +160,47 @@ class TestConstructPairTrace:
                 assert {s.vertex for s in trace.steps} <= set(g.labels)
         assert cones == 2
 
-    def test_one_complex_per_call(self, monkeypatch):
-        # A pair complex is one walk outside the trace; the audited levels
-        # pad with counts they already hold, with no walk.
-        depth, built, walks = [0], [], []
-
-        def tracing(*args):
-            depth[0] += 1
-            try:
-                return trace_fn(*args)
-            finally:
-                depth[0] -= 1
-
-        def building(faces):
-            built.append(depth[0])
-            return build_fn(faces)
+    def test_no_walk_per_call(self, monkeypatch, tmp_path):
+        # The pair complex is read off its level counts, and the audited
+        # levels pad with counts they already hold: no closure walk at all,
+        # in the function or in the command.
+        walks = []
+        close_fn = complexes_mod._close
 
         def closing(faces, floor, cap):
-            walks.append(depth[0])
+            walks.append(floor)
             return close_fn(faces, floor, cap)
 
-        trace_fn, build_fn = construct_mod._trace, construct_mod.complex_and_face_vector
-        close_fn = complexes_mod._close
-        monkeypatch.setattr(construct_mod, "_trace", tracing)
-        monkeypatch.setattr(construct_mod, "complex_and_face_vector", building)
         monkeypatch.setattr(complexes_mod, "_close", closing)
-        _, trace = construct_pair(complete_graph(5), 5, 2)
+        cc, trace = construct_pair(complete_graph(5), 5, 2)
         assert trace.sub.kind == "cone" and trace.sub.sub.kind == "cone"
-        assert built == [0] and walks == [0]
+        path = tmp_path / "k5.edges"
+        path.write_text("5 10\n" + "".join(f"{u} {v}\n" for u in range(1, 6)
+                                          for v in range(u + 1, 6)))
+        assert run(["construct-pair", str(path), "--k", "2", "--trace"], io.StringIO()) == 0
+        assert walks == []
+        face_vector(cc.complex)  # the recount is a walk, and is seen
+        assert walks == [0]
 
-    def test_generated_faces_are_valid(self, monkeypatch):
-        # construct_pair walks its faces unvalidated; validate_face is the check.
-        walked = []
-        build_fn = construct_mod.complex_and_face_vector
-
-        def building(faces):
-            walked.append(faces)
-            return build_fn(faces)
-
-        monkeypatch.setattr(construct_mod, "complex_and_face_vector", building)
+    def test_generated_faces_are_valid(self):
+        # construct_pair builds its complex from derived facets, unvalidated;
+        # validate_face is the check.
         rng = random.Random(11)
         graphs = [complete_graph(5), graph_from_edges(6, [(1, 2), (3, 4), (5, 6)])]
         graphs += [Graph.from_edge_mask(n, rng.randrange(1 << comb(n, 2)))
                    for n in (6, 8, 10) for _ in range(6)]
+        facets = []
         for g in graphs:
-            w = max(len(clique_vector(g)) - 1, 1)
+            cv = clique_vector(g)
+            w = max(len(cv) - 1, 1)
             for r in (w, w + 1):
                 for k in range(w + 1):
-                    construct_pair(g, r, k)
-        faces = [f for batch in walked for f in batch]
-        assert len(faces) > 1000
-        for f in faces:
+                    cc, _, _, printed = construct_mod._construct_pair(g, r, k, cv)
+                    assert len(printed) == len(cc.complex.facets)
+                    assert set(printed) == cc.complex.facets
+                    facets += printed
+        assert len(facets) > 1000
+        for f in facets:
             assert validate_face(f) == f
 
     def test_feasibility_inequalities(self, c5):
@@ -257,9 +251,9 @@ class TestConstructPairSweeps:
                 for k in range(0, r + 1):
                     assert_pair_contract(g, r, k)
 
-    def test_walk_to_the_empty_face_gives_the_face_vector(self):
+    def test_derived_face_vector_is_the_brute_count(self):
         # the construct-pair command passes its own count and prints the
-        # vector of the construction's one walk
+        # vector derived from the level counts
         rng = random.Random(12)
         for n in (5, 7, 9):
             for _ in range(5):
@@ -268,8 +262,9 @@ class TestConstructPairSweeps:
                 r = max(len(cv) - 1, 1)
                 for k in range(0, r + 1):
                     cc, trace = construct_pair(g, r, k)
-                    got = construct_mod._construct_pair(g, r, k, cv)
-                    assert got == (cc, trace, brute_face_vector(brute_closure(cc.complex.facets)))
+                    got_cc, got_trace, vec, _ = construct_mod._construct_pair(g, r, k, cv)
+                    assert (got_cc, got_trace) == (cc, trace)
+                    assert vec == brute_face_vector(brute_closure(cc.complex.facets))
 
 
 def _pair_outcome(g, r, k):
@@ -315,6 +310,7 @@ class TestPairGoldenAndMemos:
 
     def test_warm_memos_change_nothing(self):
         ffk_bound.cache_clear()
+        revlex_mod._shadow.cache_clear()
         g = random_graph(14, Fraction(2, 3), "pairmemo:0")
         r = len(clique_vector(g)) - 1
         cold = [_pair_outcome(g, r, k) for k in range(r + 1)]
@@ -323,11 +319,13 @@ class TestPairGoldenAndMemos:
             for k in range(len(clique_vector(other))):
                 construct_pair(other, len(clique_vector(other)), k)
         assert ffk_bound.cache_info().hits > 0
+        assert revlex_mod._shadow.cache_info().hits > 0
         assert [_pair_outcome(g, r, k) for k in range(r + 1)] == cold
 
     def test_guard_switches_match_fresh_processes(self, monkeypatch):
         # 300 passes the clique count of this graph but trips two of the
-        # walks; the warm ``ffk_bound`` memo keeps nothing of the guard.
+        # closures; the warm ``ffk_bound`` and shadow memos keep nothing of
+        # the guard.
         script = _FRESH_OUTCOMES.format(outcome=inspect.getsource(_pair_outcome))
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(facevec.__file__)))
         fresh = {}
@@ -341,6 +339,7 @@ class TestPairGoldenAndMemos:
         assert any(isinstance(o, str) and "closure" in o for o in fresh["300"])
         assert any(isinstance(o, str) and "clique count" in o for o in fresh["200"])
         ffk_bound.cache_clear()
+        revlex_mod._shadow.cache_clear()
         g = random_graph(12, Fraction(3, 4), "pairguard:0")
         for guard in ("1000", "300", "200", "300", "1000", "300"):
             monkeypatch.setenv("FACEVEC_GUARD", guard)
@@ -379,6 +378,92 @@ class TestPairGoldenAndMemos:
                         assert ffk_canonical(ck, k, colors).shadow() == walked
                         cases += 1
         assert cases > 300
+
+
+def _derived_pair(g, r, k):
+    """The pair construction's face vector and printed facets, or the
+    message of the guard it trips."""
+    try:
+        _, _, vec, facets = construct_mod._construct_pair(g, r, k, clique_vector(g))
+    except GuardExceeded as exc:
+        return f"GuardExceeded: {exc}"
+    return vec, facets
+
+
+def _walked_pair(g, r, k):
+    """The same from the walk oracle over the same trace."""
+    try:
+        trace = construct_mod._trace(g, (1 << g.n) - 1, clique_vector(g), None, r, k, face_guard())
+        facets, vec = walked_pair(trace)
+    except GuardExceeded as exc:
+        return f"GuardExceeded: {exc}"
+    return vec, facets
+
+
+class TestPairAgainstTheWalk:
+    """The pair complex is read off its level counts; the walk of its
+    generating faces stays the oracle for its facets, their printed order,
+    its face vector and its guard trips."""
+
+    def test_pairgold_corpus(self):
+        cases = 0
+        for i in range(40):
+            g = random_graph(16, Fraction(1, 2), f"pairgold:{i}")
+            w = len(clique_vector(g)) - 1
+            for r in (w, w + 1, w + 3):
+                for k in range(w + 2):
+                    assert _derived_pair(g, r, k) == _walked_pair(g, r, k)
+                    cases += 1
+        assert cases == 825
+
+    def test_random_sweep(self):
+        rng = random.Random(23)
+        cases = 0
+        for n in range(1, 13):
+            for _ in range(20):
+                g = Graph.from_edge_mask(n, rng.randrange(1 << comb(n, 2)))
+                w = len(clique_vector(g)) - 1
+                for r in {max(w, 1), w + 1, w + 3}:
+                    for k in range(w + 2):
+                        assert _derived_pair(g, r, k) == _walked_pair(g, r, k)
+                        cases += 1
+        assert cases > 3000
+
+    def test_guard_grid(self, monkeypatch):
+        # every cap up to one past the largest closure: the clique count
+        # (300 faces), the closures (63 to 397) and passes, in process
+        g = random_graph(12, Fraction(3, 4), "pairguard:0")
+        seen = set()
+        for guard in range(1, 399):
+            monkeypatch.setenv("FACEVEC_GUARD", str(guard))
+            for k in range(1, 7):
+                got = _derived_pair(g, 6, k)
+                assert got == _walked_pair(g, 6, k)
+                seen.add(got.split(" exceeds")[0] if isinstance(got, str) else "ok")
+        assert seen == {"GuardExceeded: clique count", "GuardExceeded: closure", "ok"}
+
+    def test_guard_grid_command(self, monkeypatch, tmp_path):
+        # the command's one stderr line, or its vector and facet lines, are
+        # the walk's
+        g = random_graph(12, Fraction(3, 4), "pairguard:0")
+        path = tmp_path / "pairguard.g6"
+        path.write_text(graph6_encode(g) + "\n")
+        for guard in range(290, 399, 3):
+            monkeypatch.setenv("FACEVEC_GUARD", str(guard))
+            for k in (3, 4, 5):
+                out, err = io.StringIO(), io.StringIO()
+                code = run(["construct-pair", str(path), "--k", str(k)], out, err)
+                walked = _walked_pair(g, 6, k)
+                if isinstance(walked, str):
+                    assert (code, out.getvalue()) == (4, "")
+                    message = walked.removeprefix("GuardExceeded: ")
+                    assert err.getvalue() == f"facevec: resource guard: {message}\n"
+                    continue
+                vec, facets = walked
+                lines = out.getvalue().splitlines()
+                assert (code, err.getvalue()) == (0, "")
+                assert lines[3] == "face-vector " + " ".join(map(str, vec))
+                assert lines[5:] == ["facet " + " ".join(map(str, f)) for f in facets]
 
 
 class TestConstructBalanced:

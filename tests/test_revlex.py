@@ -16,12 +16,13 @@ from facevec import (
     revlex_key,
     revlex_tails,
 )
-from facevec.complexes import complex_and_face_vector, validate_face
+from facevec.complexes import validate_face
 from facevec.errors import GuardExceeded, InputFormatError
 from facevec.revlex import residue_colored
 
 from oracles import (
     brute_closure,
+    complex_and_face_vector,
     edges,
     kset_rank,
     kset_unrank,
