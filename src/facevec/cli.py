@@ -18,11 +18,11 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .combinat import CanonicalRep, ffk_canonical, kk_canonical
-from .complexes import ColoredComplex, Complex, vec_entry
+from .complexes import vec_entry
 from .construct import ConstructionTrace, _construct_pair, construct_balanced
 from .errors import GuardExceeded, InputFormatError, InvariantViolation
 from .graphs import clique_vector, parse_graph
-from .revlex import LevelSpec, residue_colored, revlex_tails
+from .revlex import LevelSpec, _residue_coloring, revlex_tails
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -74,11 +74,13 @@ def _write_facets(facets, out) -> None:
             out.write("".join(map(line, block)))
 
 
-def _print_complex(cc: ColoredComplex, facets, out) -> None:
-    """The coloring line, then ``facets``: the complex's facets in printed
-    order, smaller facets first and each size in rev-lex order."""
-    coloring = " ".join(f"{v}:{cc.coloring[v]}" for v in cc.complex.vertices)
-    print(f"coloring {coloring}".rstrip(), file=out)
+def _print_complex(coloring: dict[int, int] | None, facets, out) -> None:
+    """The coloring line, if any, one entry per vertex (its keys), then
+    ``facets``: the complex's facets in printed order, smaller facets first
+    and each size in rev-lex order."""
+    if coloring is not None:
+        line = " ".join(f"{v}:{c}" for v, c in sorted(coloring.items()))
+        print(f"coloring {line}".rstrip(), file=out)
     _write_facets(facets, out)
 
 
@@ -138,11 +140,9 @@ def _cmd_canonical(args, out) -> int:
 def _cmd_revlex(args, out) -> int:
     vec, facets = revlex_tails(LevelSpec.parse(args.levels), args.colors)
     print(f"face-vector {_vec_line(vec)}", file=out)
-    if args.emit_faces:
-        if args.colors is None:
-            _write_facets(facets, out)
-        else:
-            _print_complex(residue_colored(Complex(frozenset(facets)), args.colors), facets, out)
+    if args.emit_faces:  # the vertices are the first L_1 1-sets
+        _print_complex(None if args.colors is None else
+                       _residue_coloring(range(1, vec_entry(vec, 1) + 1), args.colors), facets, out)
     return EXIT_OK
 
 
@@ -152,7 +152,7 @@ def _cmd_construct(args, out) -> int:
     print(f"colors {report.colors}", file=out)
     print(f"clique-vector {_vec_line(report.clique_vec)}", file=out)
     print(f"face-vector {_vec_line(report.face_vec)}", file=out)
-    _print_complex(cc, report.facets, out)
+    _print_complex(cc.coloring, report.facets, out)
     if args.trace:
         print("margins " + (_vec_line(report.margins) or "-"), file=out)
     return EXIT_OK
@@ -167,7 +167,7 @@ def _cmd_construct_pair(args, out) -> int:
     print(f"k {args.k}", file=out)
     print(f"targets {vec_entry(cv, args.k)} {vec_entry(cv, args.k + 1)}", file=out)
     print(f"face-vector {_vec_line(face_vec)}", file=out)
-    _print_complex(cc, facets, out)
+    _print_complex(cc.coloring, facets, out)
     if args.trace:
         _print_trace(trace, out)
     return EXIT_OK

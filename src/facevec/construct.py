@@ -16,7 +16,7 @@ from .complexes import ColoredComplex, Complex, Face, FaceVector, vec_entry
 from .errors import GuardExceeded, InvariantViolation
 from .graphs import Graph, _clique_counts, clique_vector
 from .limits import face_guard
-from .revlex import LevelSpec, _levels, _tails, residue_colored, revlex_tails
+from .revlex import LevelSpec, _levels, _residue_coloring, _tails, revlex_tails
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,10 @@ def _construct_pair(g: Graph, r: int, k: int, cv: tuple[int, ...] | list[int]
         raise GuardExceeded(f"closure exceeds the face cap {cap}")
     facets = sorted(_tails(base, colors, held) + [f + (apex,) for apex, levels in cones
                                                   for f in _tails(levels, colors, {})], key=len)
-    cx = Complex(frozenset(facets))
-    coloring = residue_colored(cx, colors).coloring
-    coloring.update((step.added_vertex, r) for step in trace.steps)
-    return ColoredComplex(complex=cx, colors=r, coloring=coloring), trace, face_vec, facets
+    coloring = _residue_coloring(range(1, counts[1] - len(cones) + 1), colors)  # the base's 1..L_1
+    coloring.update((apex, r) for apex, _ in cones)
+    return (ColoredComplex(complex=Complex(frozenset(facets)), colors=r, coloring=coloring),
+            trace, face_vec, facets)
 
 
 def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
@@ -218,7 +218,8 @@ def construct_from_vector(cv: tuple[int, ...]) -> tuple[ColoredComplex, Balanced
                         if r else ((1,), [()]))
     report = BalancedReport(colors=r, clique_vec=cv, face_vec=face_vec, margins=tuple(margins),
                             facets=tuple(facets))
-    return residue_colored(Complex(frozenset(facets)), r), report
+    coloring = _residue_coloring(range(1, vec_entry(face_vec, 1) + 1), r)
+    return ColoredComplex(complex=Complex(frozenset(facets)), colors=r, coloring=coloring), report
 
 
 def construct_balanced(g: Graph) -> tuple[ColoredComplex, BalancedReport]:

@@ -5,7 +5,10 @@ difference lies in B; equivalently, reversed tuples compare lexicographically.
 Plain and r-permissible k-sets come from one nested walk in that order that
 never builds a set it rejects: the sets are grouped by their largest
 element, and each group is the smaller sets below it, with r set only those
-whose residues avoid the ones already taken.
+whose residues avoid the ones already taken.  ``first_ksets``,
+``first_permissible_ksets`` and ``revlex_faces`` read a cached prefix of each
+segment; the facets ``revlex_tails`` and the twins print are walked from
+their rank unless that prefix already reaches them.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
+from math import comb
 
 from .combinat import ffk_canonical, kk_canonical
 from .complexes import ColoredComplex, Complex, Face, FaceVector
@@ -26,8 +30,9 @@ def revlex_key(face: Face) -> tuple[int, ...]:
     return tuple(reversed(face))
 
 
-def _walk(k: int, r: int | None) -> Iterator[Face]:
-    """Every k-set in rev-lex order, only the r-permissible ones when r is set.
+def _walk(k: int, r: int | None, skip: int = 0) -> Iterator[Face]:
+    """Every k-set in rev-lex order from rank ``skip`` on, only the
+    r-permissible ones when r is set.
 
     Rev-lex order is nested: the sets come grouped by their largest element
     ``top``, rising from k, and the group of ``top`` is the (j-1)-sets below
@@ -35,12 +40,16 @@ def _walk(k: int, r: int | None) -> Iterator[Face]:
     r avoid the bitmask ``used`` of the residues taken above, and a branch is
     entered only when the values below its top still hold as many free
     residues as elements are needed.  Either way every branch yields, so no
-    set is rejected and each costs O(k) amortised.
+    set is rejected and each costs O(k) amortised.  The first ``skip`` sets
+    are passed over a whole group at a time, by its size (``_below``).
     """
-    def below(j: int, tops, used: int, suffix: Face) -> Iterator[Face]:
+    def below(j: int, tops, used: int, suffix: Face, skip: int = 0) -> Iterator[Face]:
         for top in tops:
             bit = 0 if r is None else 1 << top % r
             if used & bit:
+                continue
+            if skip and skip >= (size := _below(top, j - 1, r, used | bit)):
+                skip -= size
                 continue
             if j == 1:
                 yield (top,) + suffix
@@ -50,38 +59,52 @@ def _walk(k: int, r: int | None) -> Iterator[Face]:
             # of them used, k <= r leaves the j - 1 needed free; below a
             # smaller top the residues are the values 1..top-1 themselves.
             if r is None or top > r or ((1 << top) - 2 & ~used_here).bit_count() >= j - 1:
-                yield from below(j - 1, range(j - 1, top), used_here, (top,) + suffix)
+                yield from below(j - 1, range(j - 1, top), used_here, (top,) + suffix, skip)
+                skip = 0
 
-    return below(k, count(k), 0, ())
+    return below(k, count(k), 0, (), skip)
 
 
-# Initial segments are append-only and shared: segment (k, r)[i] is the
-# (i+1)-th (r-permissible) k-set, r = None meaning no color constraint, and
-# the walk next to it resumes where the list ends.  Growth happens behind a
-# lock (a generator cannot be advanced by two threads at once); readers only
-# ever slice a stable prefix.
+def _below(top: int, j: int, r: int | None, used: int) -> int:
+    """How many j-sets below ``top`` have distinct residues mod r outside
+    ``used`` (all C(top - 1, j) when plain): with top - 1 = q r + rem, residues
+    1..rem hold q + 1 values, the rest q; ``turan_binom``'s sum over the free ones."""
+    if r is None:
+        return comb(top - 1, j)
+    q, rem = divmod(top - 1, r)
+    low = (1 << rem + 1) - 2
+    a, b = (low & ~used).bit_count(), r - rem - (used & ~low).bit_count()
+    return sum(comb(a, i) * comb(b, j - i) * (q + 1) ** i * q ** (j - i) for i in range(j + 1))
+
+
+# Initial segments, append-only, shared by ``first_(permissible_)ksets`` and
+# the tails they reach: segment (k, r)[i] is the (i+1)-th (r-permissible)
+# k-set, r = None meaning no color constraint, and the walk next to it
+# resumes where the list ends.  Growth happens behind a lock (a generator
+# cannot be advanced by two threads at once); readers slice a stable prefix.
 _segments: dict[tuple[int, int | None], tuple[list[Face], Iterator[Face]]] = {}
 _segment_lock = threading.Lock()
 
 
-def _segment(m: int, k: int, r: int | None) -> list[Face]:
+def _segment(m: int, k: int, r: int | None, skip: int = 0) -> list[Face]:
+    """Sets [skip, m) of segment (k, r); not cached when the list is short of skip."""
     if m < 0:
         raise ValueError(f"segment length must be nonnegative, got {m}")
-    if m == 0:
+    if m <= skip:
         return []
-    entry = _segments.get((k, r))
-    if entry is None or len(entry[0]) < m:
+    have = len(_segments.get((k, r), ((),))[0])
+    if have < skip:
+        return list(islice(_walk(k, r, skip), m - skip))
+    if have < m:
         with _segment_lock:
             seg, walk = _segments.setdefault((k, r), ([], _walk(k, r)))
             seg.extend(islice(walk, max(0, m - len(seg))))
-    return _segments[k, r][0][:m]
+    return _segments[k, r][0][skip:m]
 
 
 def first_ksets(m: int, k: int) -> list[Face]:
     """The first m k-sets in rev-lex order."""
-    if k < 1:
-        raise ValueError("face size must be positive")
-    return _segment(m, k, None)
+    return _first(m, k, None)
 
 
 def first_permissible_ksets(m: int, k: int, r: int) -> list[Face]:
@@ -90,10 +113,7 @@ def first_permissible_ksets(m: int, k: int, r: int) -> list[Face]:
     No permissible k-set exists at all when k > r, so only m = 0 is
     satisfiable there.
     """
-    if k < 1:
-        raise ValueError("face size must be positive")
-    _require_permissible(m, k, r)
-    return _segment(m, k, r)
+    return _first(m, k, r)
 
 
 def _require_permissible(m: int, k: int, r: int) -> None:
@@ -101,8 +121,13 @@ def _require_permissible(m: int, k: int, r: int) -> None:
         raise ValueError(f"no {r}-permissible {k}-set exists; cannot produce {m}")
 
 
-def _first(m: int, k: int, colors: int | None) -> list[Face]:
-    return first_ksets(m, k) if colors is None else first_permissible_ksets(m, k, colors)
+def _first(m: int, k: int, colors: int | None, skip: int = 0) -> list[Face]:
+    """Sets [skip, m) of the rev-lex k-sets, ``colors``-permissible if set."""
+    if k < 1:
+        raise ValueError("face size must be positive")
+    if colors is not None:
+        _require_permissible(m, k, colors)
+    return _segment(m, k, colors, skip)
 
 
 @dataclass(frozen=True)
@@ -196,7 +221,7 @@ def _tails(levels, colors: int | None, held: dict[int, int]) -> list[Face]:
     lie in larger faces elsewhere; [()] when no face lies above the empty one."""
     return [f for s, start, length in reversed(levels)
             if length > (skip := max(start, held.get(s, 0)))
-            for f in (_first(length, s, colors) if s else [()])[skip:]]
+            for f in (_first(length, s, colors, skip) if s else [()])]
 
 
 def revlex_tails(spec: LevelSpec, colors: int | None = None
@@ -206,9 +231,8 @@ def revlex_tails(spec: LevelSpec, colors: int | None = None
     the cap level by level before any segment is enumerated, so the guard
     trips where a walk of the closure would, as soon as the count passes."""
     cap = _admit(spec, colors)
-    if colors is not None:
-        for size, m in spec.entries:
-            _require_permissible(m, size, colors)
+    for size, m in spec.entries if colors is not None else ():
+        _require_permissible(m, size, colors)
     levels, total = [], 0
     for level in _levels(spec, colors):
         total += level[2]
@@ -224,5 +248,10 @@ def residue_colored(cx: Complex, colors: int) -> ColoredComplex:
     Permissible faces never repeat a residue, so on a complex built from
     them the coloring is proper by construction.
     """
-    coloring = {v: (v - 1) % colors + 1 for v in cx.vertices}
-    return ColoredComplex(complex=cx, colors=colors, coloring=coloring)
+    return ColoredComplex(cx, colors, _residue_coloring(cx.vertices, colors))
+
+
+def _residue_coloring(vertices, colors: int) -> dict[int, int]:
+    """Vertex v colored ((v - 1) mod colors) + 1.  A rev-lex complex's
+    vertices are 1..L_1, its first L_1 1-sets, so it needs no facet scan."""
+    return {v: (v - 1) % colors + 1 for v in vertices}

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -36,10 +37,11 @@ from facevec.errors import GuardExceeded
 from facevec.graphs import _clique_counts, graph6_encode
 from facevec.limits import DEFAULT_FACE_GUARD as CAP
 from facevec.limits import face_guard
-from facevec.revlex import first_permissible_ksets
+from facevec.revlex import first_permissible_ksets, residue_colored
 from facevec.verify import random_graph
 
 from conftest import complete_graph
+from test_revlex import _count_walks
 from oracles import (all_graphs, brute_cliques_by_size, brute_closure, brute_face_vector, edges,
                      graph_from_edges, induced_relabelled, neighbors, walked_pair)
 
@@ -308,7 +310,7 @@ class TestPairGoldenAndMemos:
         assert cases == 550
         assert digest.hexdigest() == PAIR_GOLDEN_SHA256
 
-    def test_warm_memos_change_nothing(self):
+    def test_warm_memos_change_nothing(self, monkeypatch):
         ffk_bound.cache_clear()
         revlex_mod._shadow.cache_clear()
         g = random_graph(14, Fraction(2, 3), "pairmemo:0")
@@ -321,6 +323,30 @@ class TestPairGoldenAndMemos:
         assert ffk_bound.cache_info().hits > 0
         assert revlex_mod._shadow.cache_info().hits > 0
         assert [_pair_outcome(g, r, k) for k in range(r + 1)] == cold
+
+        # A tail [skip, m) of a segment comes from the shared prefix when it
+        # reaches skip and is walked from its rank otherwise: no prefix, one
+        # short of skip, one between skip and m, and one past m give the
+        # same outcomes, each from an otherwise empty cache.
+        segment, tails, seen = revlex_mod._segment, defaultdict(set), set()
+
+        def recorded(m, s, colors, skip=0):
+            if skip:
+                tails[k].add((m, s, colors, skip))
+                have = len(revlex_mod._segments.get((s, colors), ((),))[0])
+                seen.add("none" if not have else "short" if have < skip
+                         else "between" if have <= m else "past")
+            return segment(m, s, colors, skip)
+
+        monkeypatch.setattr(revlex_mod, "_segment", recorded)
+        for prefix in (None, lambda m, skip: 0, lambda m, skip: skip - 1,
+                       lambda m, skip: (skip + m) // 2, lambda m, skip: m + 5):
+            for k in range(r + 1):
+                monkeypatch.setattr(revlex_mod, "_segments", {})
+                for m, s, colors, skip in tails[k] if prefix else ():
+                    segment(prefix(m, skip), s, colors)
+                assert _pair_outcome(g, r, k) == cold[k]
+        assert seen == {"none", "short", "between", "past"}
 
     def test_guard_switches_match_fresh_processes(self, monkeypatch):
         # 300 passes the clique count of this graph but trips two of the
@@ -533,6 +559,30 @@ class TestConstructBalanced:
             cc, report = construct_from_vector(clique_vector(g))
             assert report.face_vec == face_vector(cc.complex)
             assert report.face_vec == brute_face_vector(brute_closure(cc.complex.facets))
+
+    def test_cold_twin_walks_only_its_facets(self, monkeypatch):
+        # each level's tail is walked from its rank: one set walked per facet
+        cv = clique_vector(random_graph(38, Fraction(3, 4), "deep:38"))
+        assert (len(cv) - 1, sum(cv) - 1) == (11, 139_759)
+        walked = _count_walks(monkeypatch)
+        monkeypatch.setattr(revlex_mod, "_segments", {})
+        _, report = construct_from_vector(cv)
+        assert sum(walked) == len(report.facets)
+
+    def test_coloring_keys_are_the_vertices(self):
+        # the twins color 1..L_1 and the cone apexes without a facet scan
+        cases = 0
+        for i in range(40):
+            g = random_graph(16, Fraction(1, 2), f"pairgold:{i}")
+            w = len(clique_vector(g)) - 1
+            built = [construct_balanced(g)[0]]
+            built += [construct_pair(g, r, k)[0] for r in (w, w + 1) for k in range(w + 2)]
+            for cc in built:
+                assert sorted(cc.coloring) == list(cc.complex.vertices)
+                recolored = residue_colored(cc.complex, cc.colors)
+                assert sorted(recolored.coloring) == list(cc.complex.vertices)
+                cases += 1
+        assert cases == 590
 
     def test_face_guard_alone_governs_the_build(self, monkeypatch):
         # the pentagon's twin has 1 + 5 + 5 faces; no argument raises the cap

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -223,6 +223,103 @@ class TestPermissibleWalk:
                 seg = first_permissible_ksets(m, k, r)
             assert len(seg) == m and all(pairwise_permissible(f, r) for f in seg)
             assert all(a[::-1] < b[::-1] for a, b in zip(seg, seg[1:]))
+
+
+class TestRankedWalk:
+    """``_walk(k, r, skip)`` passes over its first ``skip`` sets a whole
+    group at a time; the walk from the start is the oracle."""
+
+    def test_ranked_walk_is_the_walks_slice(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        import facevec.revlex as rl
+
+        below_r = set()
+
+        @st.composite
+        def cases(draw):
+            k = draw(st.integers(1, 8))
+            r = draw(st.sampled_from([None, k, k + 1, k + 3, 50, 10**12]))
+            skip = draw(st.one_of(st.integers(0, 60), st.integers(0, 4000)))
+            return k, r, skip, draw(st.integers(1, 40))
+
+        @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @hyp.given(cases())
+        def check(case):
+            k, r, skip, n = case
+            expected = list(islice(rl._walk(k, r), skip + n))[skip:]
+            assert list(islice(rl._walk(k, r, skip), n)) == expected
+            if r is None:
+                assert expected[0] == kset_unrank(skip, k)
+                assert all(next_kset(a) == b for a, b in zip(expected, expected[1:]))
+            elif r < 50:
+                # the sets whose tops are at most r are the ones where the
+                # free-residue pruning runs
+                below_r.add(skip < comb(r, k))
+
+        check()
+        assert below_r == {True, False}
+
+    def test_far_ranks_are_cheap(self):
+        # ranks past any prefix the tests build: plain, and on more colors
+        # than any top, where every set is permissible
+        import facevec.revlex as rl
+
+        with Stopwatch(1.0):
+            for k in (2, 5, 8):
+                for skip in (10**5, 10**8):
+                    expected = [kset_unrank(skip, k)]
+                    while len(expected) < 20:
+                        expected.append(next_kset(expected[-1]))
+                    for r in (None, 10**12):
+                        assert list(islice(rl._walk(k, r, skip), 20)) == expected
+
+    def test_group_sizes_are_brute_counts(self):
+        # the size of a group: the j-sets below top whose residues mod r are
+        # distinct and avoid ``used``
+        import random
+
+        import facevec.revlex as rl
+
+        rng = random.Random(24)
+        for _ in range(600):
+            r = rng.choice([None, *range(1, 13), 50, 10**12])
+            top, j = rng.randint(1, 17), rng.randint(0, 5)
+            residues = rng.sample(range(min(r or 40, 40)), rng.randint(0, min(r or 40, 40) // 2))
+            used = 0 if r is None else sum(1 << v for v in residues)
+            brute = sum(1 for f in combinations(range(1, top), j)
+                        if r is None or (len({v % r for v in f}) == j
+                                         and not any(used >> v % r & 1 for v in f)))
+            assert rl._below(top, j, r, used) == brute, (top, j, r, used)
+
+    def test_tails_walk_only_what_they_print(self, monkeypatch):
+        # cold, each tail is walked from its rank: one set walked per facet
+        import facevec.revlex as rl
+
+        walked = _count_walks(monkeypatch)
+        for spec, colors in ((LevelSpec.of((2, 40), (4, 300), (7, 90)), 9),
+                             (LevelSpec.of((1, 30), (3, 2000), (5, 700)), None)):
+            monkeypatch.setattr(rl, "_segments", {})
+            walked.clear()
+            _, facets = revlex_tails(spec, colors)
+            assert sum(walked) == len(facets)
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Wrap ``revlex._walk`` so each walk appends the count of sets it yields."""
+    import facevec.revlex as rl
+
+    walk, counts = rl._walk, []
+
+    def counted(*args):
+        i = len(counts)
+        counts.append(0)
+        for f in walk(*args):
+            counts[i] += 1
+            yield f
+
+    monkeypatch.setattr(rl, "_walk", counted)
+    return counts
 
 
 class TestShadowContainment:
