@@ -20,7 +20,7 @@ from itertools import count, islice
 from math import comb
 
 from .combinat import ffk_canonical, kk_canonical
-from .complexes import ColoredComplex, Complex, Face, FaceVector
+from .complexes import Face, FaceVector
 from .errors import GuardExceeded, InputFormatError
 from .limits import face_guard
 
@@ -240,15 +240,6 @@ def revlex_tails(spec: LevelSpec, colors: int | None = None
             raise GuardExceeded(f"closure exceeds the face cap {cap}")
         levels.append(level)
     return tuple(length for _, _, length in reversed(levels)), _tails(levels, colors, {})
-
-
-def residue_colored(cx: Complex, colors: int) -> ColoredComplex:
-    """``cx`` with vertex v colored ((v - 1) mod colors) + 1.
-
-    Permissible faces never repeat a residue, so on a complex built from
-    them the coloring is proper by construction.
-    """
-    return ColoredComplex(cx, colors, _residue_coloring(cx.vertices, colors))
 
 
 def _residue_coloring(vertices, colors: int) -> dict[int, int]:

@@ -4,7 +4,8 @@ The oracles work straight from definitions with itertools and math.comb and
 never call into the package, so agreement between the two is evidence, not
 circularity.  There are two exceptions.  The graph helpers build and read
 the package's ``Graph`` as test inputs, and the tests check them against the
-oracles.  The walk oracles at the end generate faces with the package's
+oracles; ``residue_colored`` likewise wraps a complex in the package's
+``ColoredComplex``.  The walk oracles at the end generate faces with the package's
 rev-lex segments and walk their closure with its ``_close``, as the builders
 did before they read their complexes off the level counts; the derived
 builders are held to them, guard trips included.
@@ -13,7 +14,7 @@ from bisect import bisect_right
 from itertools import combinations, product
 from math import comb
 
-from facevec.complexes import Complex, _close
+from facevec.complexes import ColoredComplex, Complex, _close
 from facevec.errors import GuardExceeded
 from facevec.graphs import Graph, _adjacency, _lex_pairs
 from facevec.limits import EXHAUSTIVE_CAP, face_guard
@@ -458,3 +459,12 @@ def walked_pair(trace):
         faces += [f + (step.added_vertex,) for f in cone_base]
     cx, vec = complex_and_face_vector(faces)
     return sorted(cx.facets, key=lambda f: (len(f), f[::-1])), vec
+
+
+def residue_colored(cx, colors):
+    """``cx`` with vertex v colored ((v - 1) mod colors) + 1.
+
+    Permissible faces never repeat a residue, so on a complex built from
+    them the coloring is proper by construction.
+    """
+    return ColoredComplex(cx, colors, {v: (v - 1) % colors + 1 for v in cx.vertices})

@@ -11,7 +11,7 @@ import pytest
 import facevec
 from facevec.cli import run
 from facevec.errors import GuardExceeded
-from facevec.graphs import graph6_encode
+from facevec.graphs import _clique_counts, clique_vector, graph6_encode
 from facevec.revlex import LevelSpec, revlex_faces
 from facevec.verify import random_graph
 
@@ -191,6 +191,57 @@ class TestGoldenBytes:
     def test_revlex_emit_faces_colored(self):
         argv = ["revlex", "--levels", "1:12,2:45,3:120", "--colors", "3", "--emit-faces"]
         assert _sha256(argv) == "1bb2456e79c11b8841df34e8ad0e8973b40c86abc13d76c842882720f72b6781"
+
+
+class TestCliqueGuard:
+    """The pivoting count trips the guard exactly where enumeration trips,
+    with its message, at small caps and around the whole counts, 28,582 and
+    139,760 cliques with c_0."""
+
+    @pytest.mark.parametrize("n, key, total", [(30, "golden:30", 28582), (38, "deep:38", 139760)])
+    def test_trips_where_enumeration_trips(self, tmp_path, monkeypatch, n, key, total):
+        path = _random_graph_file(tmp_path, n, "3/4", key)
+        g = random_graph(n, Fraction(3, 4), key)
+        for cap in [1, 2, n, 1000] + list(range(total - 3, total + 2)):
+            monkeypatch.setenv("FACEVEC_GUARD", str(cap))
+            try:
+                enumerated, tripped = _clique_counts(g.adj, (1 << n) - 1, cap), None
+            except GuardExceeded as exc:
+                enumerated, tripped = None, str(exc)
+            assert (tripped is None) == (cap >= total)
+            code, out, err = invoke(["cliquevec", path])
+            _, record, _ = invoke(["verify", path, "--output", "records"])
+            if tripped is None:
+                assert clique_vector(g) == tuple(enumerated)
+                assert (code, err) == (0, "")
+                assert f" cliquevec={','.join(map(str, enumerated))} " in record
+            else:
+                with pytest.raises(GuardExceeded) as pivoted:
+                    clique_vector(g)
+                assert str(pivoted.value) == tripped
+                assert (code, out) == (4, "")
+                assert err == f"facevec: resource guard: {tripped}\n"
+                assert record.endswith(f" cliquevec=- facevec=- margins=- equal=0 coloring=0"
+                                       f" balanced=0 ok=0 error={tripped}\n")
+
+
+class TestDenseSixtyFour:
+    """G(64, 3/4) with key "dense:0": 7,130,784 nonempty cliques, counted by pivoting."""
+
+    def test_cliquevec(self, tmp_path):
+        path = _random_graph_file(tmp_path, 64, "3/4", "dense:0")
+        with Stopwatch(1.0):
+            code, out, err = invoke(["cliquevec", path])
+        assert (code, err) == (0, "")
+        assert out == ("1 64 1521 17926 118117 464935 1138980 1780764 1799224 1174833"
+                       " 488821 125476 18672 1412 39\n")
+
+    def test_construct_pair(self, tmp_path):
+        path = _random_graph_file(tmp_path, 64, "3/4", "dense:0")
+        with Stopwatch(1.0):
+            code, out, err = invoke(["construct-pair", path, "--k", "1"])
+        assert (code, err) == (0, "")
+        assert out.startswith("colors 14\nk 1\ntargets 64 1521\n")
 
 
 class TestConstructPairCommand:

@@ -16,11 +16,10 @@ from facevec import (
 )
 from facevec.complexes import vec_entry
 from facevec.errors import GuardExceeded
-from facevec.revlex import residue_colored
 
 from conftest import complete_graph
 from oracles import (all_graphs, brute_chromatic, brute_closure, brute_face_vector, brute_is_flag,
-                     cliques, edges, graph_from_edges)
+                     cliques, edges, graph_from_edges, residue_colored)
 
 
 def clique_complex(g):

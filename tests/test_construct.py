@@ -37,13 +37,13 @@ from facevec.errors import GuardExceeded
 from facevec.graphs import _clique_counts, graph6_encode
 from facevec.limits import DEFAULT_FACE_GUARD as CAP
 from facevec.limits import face_guard
-from facevec.revlex import first_permissible_ksets, residue_colored
+from facevec.revlex import first_permissible_ksets
 from facevec.verify import random_graph
 
 from conftest import complete_graph
 from test_revlex import _count_walks
 from oracles import (all_graphs, brute_cliques_by_size, brute_closure, brute_face_vector, edges,
-                     graph_from_edges, induced_relabelled, neighbors, walked_pair)
+                     graph_from_edges, induced_relabelled, neighbors, residue_colored, walked_pair)
 
 
 def assert_pair_contract(g, r, k):

@@ -9,6 +9,7 @@ from facevec import (
     clique_vector,
     face_vector,
     graph6_encode,
+    one_skeleton,
     parse_graph,
     turan_binom,
 )
@@ -283,6 +284,82 @@ class TestCliqueDifferential:
                     for depth in range(len(expected) + 2):
                         assert _clique_counts(g.adj, within, CAP, depth) == \
                             _truncated(expected, depth)
+
+
+def _networkx_counts(g):
+    """Clique counts by size from networkx's enumeration, c_0 = 1."""
+    nx = pytest.importorskip("networkx")
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from((i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.adj[i] >> j & 1)
+    counts = [1]
+    for clique in nx.enumerate_all_cliques(ref):
+        if len(clique) == len(counts):
+            counts.append(0)
+        counts[len(clique)] += 1
+    return tuple(counts)
+
+
+def _enumerated(g):
+    """The whole clique vector by enumeration, ``_clique_counts`` at full depth."""
+    return tuple(_clique_counts(g.adj, (1 << g.n) - 1, CAP))
+
+
+def _density_graph(n, p, seed):
+    """A graph on n vertices keeping each pair with probability p."""
+    rng = random.Random(seed)
+    return graph_from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
+
+
+class TestPivotCounts:
+    """``clique_vector`` pivots; enumeration and networkx are its references."""
+
+    def test_hypothesis_density_graphs(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+        @hyp.given(st.integers(0, 40), st.sampled_from([0, 0.25, 0.5, 0.75, 1]),
+                   st.integers(0, 2**32))
+        def check(n, p, seed):
+            g = _density_graph(n, p, seed)
+            if p == 1:  # 2^n cliques, beyond enumeration: K_n's are binomials
+                expected = tuple(comb(n, i) for i in range(n + 1))
+            else:
+                expected = _enumerated(g)
+            if sum(expected) > CAP:
+                with pytest.raises(GuardExceeded):
+                    clique_vector(g)
+            else:
+                assert clique_vector(g) == expected
+
+        check()
+
+    def test_no_vertices_and_no_edges(self):
+        assert clique_vector(Graph(n=0, adj=())) == (1,)
+        assert clique_vector(graph_from_edges(9, [])) == (1, 9)
+
+    def test_complete_twenty(self):
+        assert clique_vector(complete_graph(20)) == tuple(comb(20, i) for i in range(21))
+
+    def test_library_graph_beyond_sixty_four_vertices(self):
+        g = _density_graph(90, 0.5, 65)
+        expected = _enumerated(g)
+        assert clique_vector(g) == expected == _networkx_counts(g)
+        assert sum(expected) > 1 << 16  # deep enough that pivots stack up
+
+    def test_labelled_one_skeleton(self):
+        rng = random.Random(7)
+        faces = [tuple(sorted(rng.sample(range(100, 400, 3), rng.randrange(1, 7))))
+                 for _ in range(40)]
+        g = one_skeleton(Complex.from_faces(faces))
+        assert g.labels is not None and g.n > 64
+        assert clique_vector(g) == _enumerated(g) == _networkx_counts(g)
+
+    def test_against_networkx_on_density_graphs(self):
+        for n, p, seed in [(30, 0.5, 1), (25, 0.75, 2), (40, 0.25, 3)]:
+            g = _density_graph(n, p, seed)
+            assert clique_vector(g) == _networkx_counts(g)
 
 
 def _truncated(counts, depth):

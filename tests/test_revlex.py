@@ -18,7 +18,6 @@ from facevec import (
 )
 from facevec.complexes import validate_face
 from facevec.errors import GuardExceeded, InputFormatError
-from facevec.revlex import residue_colored
 
 from oracles import (
     brute_closure,
@@ -31,6 +30,7 @@ from oracles import (
     permissible_ksets,
     precedes,
     rejection_permissible_ksets,
+    residue_colored,
     sort_revlex,
 )
 from test_acceptance import Stopwatch
