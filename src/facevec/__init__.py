@@ -18,10 +18,7 @@ from .complexes import (
     ColoredComplex,
     Complex,
     check_coloring,
-    chromatic_number,
     face_vector,
-    is_balanced,
-    one_skeleton,
 )
 from .construct import (
     BalancedReport,
@@ -72,7 +69,6 @@ __all__ = [
     "TraceStep",
     "VerificationReport",
     "check_coloring",
-    "chromatic_number",
     "clique_vector",
     "construct_balanced",
     "construct_from_vector",
@@ -84,10 +80,8 @@ __all__ = [
     "first_ksets",
     "first_permissible_ksets",
     "graph6_encode",
-    "is_balanced",
     "kk_canonical",
     "kk_shadow_bound",
-    "one_skeleton",
     "oracle_face_count",
     "parse_graph",
     "random_verify",

@@ -12,9 +12,8 @@ from functools import cached_property
 from itertools import combinations, groupby
 from math import comb
 
-from . import graphs
 from .errors import GuardExceeded
-from .limits import CHROMATIC_CAP, face_guard
+from .limits import face_guard
 
 Face = tuple[int, ...]
 FaceVector = tuple[int, ...]
@@ -110,77 +109,6 @@ def _close(faces, floor: int, cap: int) -> tuple[set[Face], list[set[Face]]]:
 def face_vector(c: Complex) -> FaceVector:
     """Exact face counts (c_0, c_1, ..., c_d) of the closure; () when empty."""
     return tuple(map(len, _close(c.facets, 0, face_guard())[1]))
-
-
-def one_skeleton(c: Complex) -> graphs.Graph:
-    """Underlying graph: all vertices, edges = two-element faces."""
-    verts = c.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    pairs = ((index[u], index[w]) for facet in c.facets for u, w in combinations(facet, 2))
-    labels = None if verts == tuple(range(1, len(verts) + 1)) else verts
-    return graphs.Graph(n=len(verts), adj=graphs._adjacency(len(verts), pairs), labels=labels)
-
-
-def chromatic_number(g: graphs.Graph) -> int:
-    """Exact chromatic number by branch and bound; capped at small vertex counts."""
-    n = g.n
-    if n > CHROMATIC_CAP:
-        raise ValueError(f"too many vertices for exact coloring: {n} > {CHROMATIC_CAP}")
-    if n == 0:
-        return 0
-
-    # Greedy clique gives a valid lower bound, greedy coloring an upper bound.
-    order = sorted(range(n), key=lambda v: -g.adj[v].bit_count())
-    clique_mask, lb = 0, 0
-    for v in order:
-        if clique_mask & ~g.adj[v] == 0:
-            clique_mask |= 1 << v
-            lb += 1
-    greedy: dict[int, int] = {}
-    for v in order:
-        taken = {greedy[u] for u in greedy if g.adj[v] >> u & 1}
-        color = 1
-        while color in taken:
-            color += 1
-        greedy[v] = color
-    ub = max(greedy.values())
-
-    adj = g.adj
-    colors = [0] * n
-
-    def colorable(i: int, used: int, k: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        taken = 0
-        m = adj[v]
-        while m:
-            b = m & -m
-            m ^= b
-            cu = colors[b.bit_length() - 1]
-            if cu:
-                taken |= 1 << cu
-        # Allowing at most one brand-new color breaks color-class symmetry.
-        for color in range(1, min(used + 1, k) + 1):
-            if taken >> color & 1:
-                continue
-            colors[v] = color
-            if colorable(i + 1, max(used, color), k):
-                return True
-            colors[v] = 0
-        return False
-
-    for k in range(lb, ub):
-        if colorable(0, 0, k):
-            return k
-    return ub
-
-
-def is_balanced(c: Complex) -> bool:
-    """True iff the chromatic number of the 1-skeleton equals dimension + 1."""
-    if not c.vertices:
-        return True
-    return chromatic_number(one_skeleton(c)) == c.dimension + 1
 
 
 def check_coloring(cc: ColoredComplex) -> bool:

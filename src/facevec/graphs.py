@@ -83,19 +83,16 @@ class Graph:
 
 
 def _clique_counts(adj: tuple[int, ...] | list[int], within: int, cap: int,
-                   depth: int | None = None, credit: list[int] | None = None) -> list[int]:
+                   depth: int, credit: list[int] | None = None) -> list[int]:
     """Counts of the cliques among the vertices of the mask ``within`` by size,
-    c_0 = 1, up to ``depth`` vertices (all sizes when None); recursive
-    extension on bitmasks, where the last level counts its candidates and
-    walks none of them.
+    c_0 = 1, up to ``depth`` vertices; recursive extension on bitmasks, where
+    the last level counts its candidates and walks none of them.
 
     With a ``credit`` list, indexed by vertex, the last level also adds its
     candidate count to each member of its prefix clique and 1 to each
     candidate, so ``credit[i]`` gains the number of ``depth``-cliques through
     vertex i: the clique count of its link one level down, for every vertex
     at once."""
-    if depth is None:
-        depth = within.bit_count()
     counts = [0] * (depth + 1)
     counts[0] = 1
     total = 1

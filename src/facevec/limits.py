@@ -6,9 +6,6 @@ import os
 DEFAULT_FACE_GUARD = 10**7
 GUARD_ENV_VAR = "FACEVEC_GUARD"
 
-# Exact chromatic number is only attempted up to this many vertices.
-CHROMATIC_CAP = 20
-
 # Exhaustive generation and verification stop at 2^C(7,2) labeled graphs.
 EXHAUSTIVE_CAP = 7
 

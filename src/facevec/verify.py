@@ -2,9 +2,11 @@
 
 Every claim is re-established from scratch here: the constructed complex is
 fully closed and re-counted, the coloring is re-checked face by face, and
-balancedness is confirmed with the exact chromatic solver whenever the
-skeleton is small enough.  Discrepancies become failure records, never
-assertions, so a bug surfaces as a replayable counterexample.
+balancedness is certified by that coloring: every facet is a clique of the
+1-skeleton, so a twin of dimension d - 1 needs d colors, and a proper
+coloring with at most d colors pins its chromatic number at d.
+Discrepancies become failure records, never assertions, so a bug surfaces
+as a replayable counterexample.
 """
 from __future__ import annotations
 
@@ -13,11 +15,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .complexes import _close, check_coloring, face_vector, is_balanced
+from .complexes import _close, check_coloring, face_vector
 from .construct import construct_from_vector
 from .errors import GuardExceeded
 from .graphs import Graph, clique_vector, graph6_encode, packed_clique_rows, unpack_clique_vector
-from .limits import CHROMATIC_CAP, EXHAUSTIVE_CAP, face_guard
+from .limits import EXHAUSTIVE_CAP, face_guard
 from .revlex import LevelSpec, revlex_faces
 
 RANDOM_VERTEX_LIMIT = 24
@@ -93,10 +95,7 @@ def _verified_record(cv: tuple[int, ...], gid: str) -> GraphRecord:
     # the twin, which holds the 1 + sum(L) faces the guard already admitted.
     recount = face_vector(cx)
     coloring_ok = check_coloring(cc)
-    # Exact chromatic check up to the cap; beyond it the proper coloring certifies
-    # chromatic <= colors used, which pins it whenever colors used <= dimension + 1.
-    balanced_ok = (is_balanced(cx) if len(cx.vertices) <= CHROMATIC_CAP
-                   else coloring_ok and cc.colors_used() <= cx.dimension + 1)
+    balanced_ok = coloring_ok and cc.colors_used() <= cx.dimension + 1
     return GraphRecord(
         graph_id=gid,
         clique_vec=cv,

@@ -8,7 +8,9 @@ oracles; ``residue_colored`` likewise wraps a complex in the package's
 ``ColoredComplex``.  The walk oracles at the end generate faces with the package's
 rev-lex segments and walk their closure with its ``_close``, as the builders
 did before they read their complexes off the level counts; the derived
-builders are held to them, guard trips included.
+builders are held to them, guard trips included.  The exact chromatic solver
+at the very end reads a ``Complex``'s 1-skeleton into a ``Graph``; it is held
+to ``brute_chromatic``, and ``verify``'s balancedness certificate to it.
 """
 from bisect import bisect_right
 from itertools import combinations, product
@@ -468,3 +470,82 @@ def residue_colored(cx, colors):
     them the coloring is proper by construction.
     """
     return ColoredComplex(cx, colors, {v: (v - 1) % colors + 1 for v in cx.vertices})
+
+
+# ---------------------------------------------------------------------------
+# Exact chromatic solver: the reference that ``verify``'s balancedness
+# certificate is held to.  It reads the package's ``Complex`` and ``Graph``.
+
+# Exact chromatic number is only attempted up to this many vertices.
+CHROMATIC_CAP = 20
+
+
+def one_skeleton(c):
+    """Underlying graph: all vertices, edges = two-element faces."""
+    verts = c.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    pairs = ((index[u], index[w]) for facet in c.facets for u, w in combinations(facet, 2))
+    labels = None if verts == tuple(range(1, len(verts) + 1)) else verts
+    return Graph(n=len(verts), adj=_adjacency(len(verts), pairs), labels=labels)
+
+
+def chromatic_number(g):
+    """Exact chromatic number by branch and bound; capped at small vertex counts."""
+    n = g.n
+    if n > CHROMATIC_CAP:
+        raise ValueError(f"too many vertices for exact coloring: {n} > {CHROMATIC_CAP}")
+    if n == 0:
+        return 0
+
+    # Greedy clique gives a valid lower bound, greedy coloring an upper bound.
+    order = sorted(range(n), key=lambda v: -g.adj[v].bit_count())
+    clique_mask, lb = 0, 0
+    for v in order:
+        if clique_mask & ~g.adj[v] == 0:
+            clique_mask |= 1 << v
+            lb += 1
+    greedy = {}
+    for v in order:
+        taken = {greedy[u] for u in greedy if g.adj[v] >> u & 1}
+        color = 1
+        while color in taken:
+            color += 1
+        greedy[v] = color
+    ub = max(greedy.values())
+
+    adj = g.adj
+    colors = [0] * n
+
+    def colorable(i, used, k):
+        if i == n:
+            return True
+        v = order[i]
+        taken = 0
+        m = adj[v]
+        while m:
+            b = m & -m
+            m ^= b
+            cu = colors[b.bit_length() - 1]
+            if cu:
+                taken |= 1 << cu
+        # Allowing at most one brand-new color breaks color-class symmetry.
+        for color in range(1, min(used + 1, k) + 1):
+            if taken >> color & 1:
+                continue
+            colors[v] = color
+            if colorable(i + 1, max(used, color), k):
+                return True
+            colors[v] = 0
+        return False
+
+    for k in range(lb, ub):
+        if colorable(0, 0, k):
+            return k
+    return ub
+
+
+def is_balanced(c):
+    """True iff the chromatic number of the 1-skeleton equals dimension + 1."""
+    if not c.vertices:
+        return True
+    return chromatic_number(one_skeleton(c)) == c.dimension + 1

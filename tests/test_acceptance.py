@@ -13,7 +13,6 @@ from math import comb
 from facevec import (
     LevelSpec,
     check_coloring,
-    chromatic_number,
     clique_vector,
     construct_balanced,
     construct_pair,
@@ -21,7 +20,6 @@ from facevec import (
     face_vector,
     ffk_bound,
     ffk_canonical,
-    is_balanced,
     kk_canonical,
     kk_shadow_bound,
     oracle_face_count,
@@ -34,8 +32,8 @@ from facevec.complexes import Complex, vec_entry
 from facevec.verify import iter_random_records
 
 from conftest import C5_EDGES
-from oracles import (all_graphs, ffk_chains_by_sum, graph_from_edges, kk_chains_by_sum,
-                     turan_graph)
+from oracles import (all_graphs, chromatic_number, ffk_chains_by_sum, graph_from_edges,
+                     is_balanced, kk_chains_by_sum, turan_graph)
 
 
 class Stopwatch:

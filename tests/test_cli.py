@@ -205,7 +205,7 @@ class TestCliqueGuard:
         for cap in [1, 2, n, 1000] + list(range(total - 3, total + 2)):
             monkeypatch.setenv("FACEVEC_GUARD", str(cap))
             try:
-                enumerated, tripped = _clique_counts(g.adj, (1 << n) - 1, cap), None
+                enumerated, tripped = _clique_counts(g.adj, (1 << n) - 1, cap, n), None
             except GuardExceeded as exc:
                 enumerated, tripped = None, str(exc)
             assert (tripped is None) == (cap >= total)

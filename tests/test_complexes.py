@@ -7,11 +7,8 @@ from facevec import (
     Complex,
     LevelSpec,
     check_coloring,
-    chromatic_number,
     clique_vector,
     face_vector,
-    is_balanced,
-    one_skeleton,
     revlex_faces,
 )
 from facevec.complexes import vec_entry
@@ -19,7 +16,8 @@ from facevec.errors import GuardExceeded
 
 from conftest import complete_graph
 from oracles import (all_graphs, brute_chromatic, brute_closure, brute_face_vector, brute_is_flag,
-                     cliques, edges, graph_from_edges, residue_colored)
+                     chromatic_number, cliques, edges, graph_from_edges, is_balanced,
+                     one_skeleton, residue_colored)
 
 
 def clique_complex(g):

@@ -17,14 +17,11 @@ from facevec import (
     Complex,
     Graph,
     check_coloring,
-    chromatic_number,
     clique_vector,
     construct_balanced,
     construct_from_vector,
     construct_pair,
     face_vector,
-    is_balanced,
-    one_skeleton,
 )
 import facevec
 from facevec import complexes as complexes_mod
@@ -42,8 +39,9 @@ from facevec.verify import random_graph
 
 from conftest import complete_graph
 from test_revlex import _count_walks
-from oracles import (all_graphs, brute_cliques_by_size, brute_closure, brute_face_vector, edges,
-                     graph_from_edges, induced_relabelled, neighbors, residue_colored, walked_pair)
+from oracles import (all_graphs, brute_cliques_by_size, brute_closure, brute_face_vector,
+                     chromatic_number, edges, graph_from_edges, induced_relabelled, is_balanced,
+                     neighbors, one_skeleton, residue_colored, walked_pair)
 
 
 def assert_pair_contract(g, r, k):
@@ -383,7 +381,8 @@ class TestPairGoldenAndMemos:
                     _, trace = construct_pair(g, r, k)
                     within = (1 << g.n) - 1
                     while trace.kind == "cone":
-                        assert trace.base_levels[0] == (k - 1, _clique_counts(g.adj, within, CAP)[k - 1])
+                        counts = _clique_counts(g.adj, within, CAP, within.bit_count())
+                        assert trace.base_levels[0] == (k - 1, counts[k - 1])
                         within &= g.adj[trace.pivot - 1]
                         trace = trace.sub
                         cases += 1

@@ -9,7 +9,6 @@ from facevec import (
     clique_vector,
     face_vector,
     graph6_encode,
-    one_skeleton,
     parse_graph,
     turan_binom,
 )
@@ -21,7 +20,7 @@ from facevec.limits import DEFAULT_FACE_GUARD as CAP
 from conftest import complete_graph
 from oracles import (all_graphs, brute_cliques_by_size, cliques, cliques_through_each_vertex,
                      decode_edge_mask, decode_graph6, edge_mask_pairs, edges, graph_from_edges,
-                     turan_graph)
+                     one_skeleton, turan_graph)
 
 
 class TestParseEdgeList:
@@ -210,29 +209,34 @@ class TestCliqueNumber:
                 assert len(clique_vector(turan_graph(n, r))) - 1 == min(n, r)
 
 
+def _all_sizes(adj, within, cap):
+    """``_clique_counts`` at full depth: every clique size the mask allows."""
+    return _clique_counts(adj, within, cap, within.bit_count())
+
+
 class TestGraphLink:
     """A link is a neighbor mask cut to the current vertex mask, counted in place."""
 
     def test_complete_graph_drops_one(self):
         g = complete_graph(5)
         assert g.adj[2] == 0b11011
-        assert _clique_counts(g.adj, g.adj[2], CAP) == [1, 4, 6, 4, 1]
+        assert _all_sizes(g.adj, g.adj[2], CAP) == [1, 4, 6, 4, 1]
 
     def test_isolated_vertex(self):
         g = graph_from_edges(3, [(1, 2)])
         assert g.adj[2] == 0
-        assert _clique_counts(g.adj, g.adj[2], CAP) == [1]
+        assert _all_sizes(g.adj, g.adj[2], CAP) == [1]
 
     def test_five_cycle_neighbors_not_adjacent(self, c5):
         for i in range(5):
             assert c5.adj[i].bit_count() == 2
-            assert _clique_counts(c5.adj, c5.adj[i], CAP) == [1, 2]
+            assert _all_sizes(c5.adj, c5.adj[i], CAP) == [1, 2]
 
     def test_link_bijection_with_cliques_through_vertex(self):
         for g in all_graphs(5):
             all_cliques = list(cliques(g))
             for v in range(1, g.n + 1):
-                lk_vec = _clique_counts(g.adj, g.adj[v - 1], CAP)
+                lk_vec = _all_sizes(g.adj, g.adj[v - 1], CAP)
                 for k in range(0, 6):
                     through = sum(1 for c in all_cliques if len(c) == k + 1 and v in c)
                     assert vec_entry(lk_vec, k) == through
@@ -242,21 +246,21 @@ class TestRemoveVertices:
     """Removing vertices clears their bits from the vertex mask."""
 
     def test_remove_all(self, c5):
-        assert _clique_counts(c5.adj, 0, CAP) == [1]
+        assert _all_sizes(c5.adj, 0, CAP) == [1]
 
     def test_remove_none(self, c5):
-        assert tuple(_clique_counts(c5.adj, 0b11111, CAP)) == clique_vector(c5)
+        assert tuple(_all_sizes(c5.adj, 0b11111, CAP)) == clique_vector(c5)
 
     def test_k4_minus_vertex(self):
         g = complete_graph(4)
-        assert _clique_counts(g.adj, 0b1111 & ~(1 << 1), CAP) == [1, 3, 3, 1]
+        assert _all_sizes(g.adj, 0b1111 & ~(1 << 1), CAP) == [1, 3, 3, 1]
 
     def test_chained_removal_reaches_link(self, c5):
         stripped = 0b11111
         for v in (1, 3, 4):
             stripped &= ~(1 << (v - 1))
         assert stripped == c5.adj[0]  # vertices 2 and 5, the neighbors of 1
-        assert _clique_counts(c5.adj, stripped, CAP) == [1, 2]
+        assert _all_sizes(c5.adj, stripped, CAP) == [1, 2]
 
 
 class TestCliqueDifferential:
@@ -278,7 +282,7 @@ class TestCliqueDifferential:
                         if len(clique) == len(expected):
                             expected.append(0)
                         expected[len(clique)] += 1
-                    assert _clique_counts(g.adj, within, CAP) == expected
+                    assert _all_sizes(g.adj, within, CAP) == expected
                     if within == full:
                         assert clique_vector(g) == tuple(expected)
                     for depth in range(len(expected) + 2):
@@ -302,7 +306,7 @@ def _networkx_counts(g):
 
 def _enumerated(g):
     """The whole clique vector by enumeration, ``_clique_counts`` at full depth."""
-    return tuple(_clique_counts(g.adj, (1 << g.n) - 1, CAP))
+    return tuple(_all_sizes(g.adj, (1 << g.n) - 1, CAP))
 
 
 def _density_graph(n, p, seed):
@@ -379,7 +383,7 @@ class TestDepthBoundedCounts:
             for p in (0.2, 0.5, 0.8):
                 g = graph_from_edges(n, [e for e in edge_mask_pairs(n) if rng.random() < p])
                 for within in ((1 << n) - 1, rng.randrange(1 << n) if n else 0):
-                    full = _clique_counts(g.adj, within, CAP)
+                    full = _all_sizes(g.adj, within, CAP)
                     for depth in range(n + 2):
                         assert _clique_counts(g.adj, within, CAP, depth) == _truncated(full, depth)
 
@@ -389,7 +393,7 @@ class TestDepthBoundedCounts:
         with pytest.raises(GuardExceeded):
             _clique_counts(g.adj, 0b111111, 21, 2)
         with pytest.raises(GuardExceeded):
-            _clique_counts(g.adj, 0b111111, 63)
+            _all_sizes(g.adj, 0b111111, 63)
 
 
 def _credited(adj, within, depth):

@@ -11,7 +11,6 @@ from facevec import (
     first_ksets,
     first_permissible_ksets,
     kk_shadow_bound,
-    one_skeleton,
     revlex_faces,
     revlex_key,
     revlex_tails,
@@ -26,6 +25,7 @@ from oracles import (
     kset_rank,
     kset_unrank,
     next_kset,
+    one_skeleton,
     pairwise_permissible,
     permissible_ksets,
     precedes,

@@ -21,15 +21,17 @@ from facevec import (
     random_verify,
     verify_graph,
 )
-from facevec.complexes import vec_entry
+from facevec.complexes import ColoredComplex, vec_entry
+from facevec.construct import construct_from_vector
 from facevec.errors import GuardExceeded
 from facevec.graphs import (_clique_counts, _mask_adjacency, graph6_encode, packed_clique_rows,
                             unpack_clique_vector)
-from facevec.limits import CHROMATIC_CAP
-from facevec.verify import iter_exhaustive_records, iter_random_records, random_graph, tally
+from facevec.verify import (_verified_record, iter_exhaustive_records, iter_random_records,
+                            random_graph, tally)
 
 from conftest import complete_graph
-from oracles import brute_cliques_by_size, decode_edge_mask, graph_from_edges
+from oracles import (CHROMATIC_CAP, brute_cliques_by_size, decode_edge_mask, graph_from_edges,
+                     is_balanced)
 
 
 @cache
@@ -88,18 +90,61 @@ class TestVerifyGraph:
     def test_graph_id_defaults_to_graph6(self, c5):
         assert verify_graph(c5).graph_id.startswith("g6:")
 
-    def test_twin_beyond_the_chromatic_cap_is_certified_by_its_coloring(self, monkeypatch):
+    def test_twin_is_certified_by_its_coloring(self, monkeypatch, c5):
+        import facevec.verify as verify_mod
+        from facevec.cli import _record_line
+
+        big = random_graph(22, Fraction(1, 2), "cert:0")
+        assert verify_graph(big).clique_vec[1] == 22 > CHROMATIC_CAP
+        assert verify_graph(c5).ok and verify_graph(big).ok
+        # at every size balancedness rests on the coloring check alone
+        monkeypatch.setattr(verify_mod, "check_coloring", lambda cc: False)
+        for g in (c5, big):
+            rec = verify_graph(g)
+            assert rec.vectors_equal
+            assert not rec.coloring_ok and not rec.balanced_ok
+            assert " coloring=0 balanced=0 ok=0 " in _record_line(rec)
+
+
+class TestBalancedCertificate:
+    """``verify``'s certificate (a proper coloring with at most dimension + 1
+    colors) held to the exact chromatic solver."""
+
+    @staticmethod
+    def verdicts(cv, record):
+        cc, _ = construct_from_vector(cv)
+        return record.balanced_ok, is_balanced(cc.complex)
+
+    def test_every_small_vector_agrees_with_the_exact_solver(self):
+        vectors = set()
+        for n in range(8):
+            for _, row in packed_clique_rows(n):
+                vectors.update(row)
+        for packed in vectors:
+            cv = unpack_clique_vector(packed)
+            assert self.verdicts(cv, _verified_record(cv, gid="")) == (True, True), cv
+
+    @pytest.mark.parametrize("n, p", [(16, Fraction(1, 2)), (20, Fraction(1, 4))])
+    def test_random_twins_agree_with_the_exact_solver(self, n, p):
+        seed = 3
+        for t, rec in enumerate(iter_random_records(n, p, 50, seed)):
+            cv = clique_vector(random_graph(n, p, key=f"{seed}:{t}"))
+            assert rec.clique_vec == cv
+            assert self.verdicts(cv, rec) == (True, True), t
+
+    def test_an_extra_color_fails_a_balanced_twin(self, monkeypatch, c5):
+        # C5's twin is 2-colorable; recolored properly with 3 colors the
+        # certificate no longer holds, though the exact solver still finds
+        # it balanced: the rule errs only towards failing
         import facevec.verify as verify_mod
 
-        g = random_graph(22, Fraction(1, 2), "cert:0")
-        rec = verify_graph(g)
-        assert rec.clique_vec[1] == 22 > CHROMATIC_CAP
-        assert rec.ok
-        # past the cap balancedness rests on the coloring check alone
-        monkeypatch.setattr(verify_mod, "check_coloring", lambda cc: False)
-        rec = verify_graph(g)
-        assert rec.vectors_equal
-        assert not rec.coloring_ok and not rec.balanced_ok
+        cc, report = construct_from_vector(clique_vector(c5))
+        recolored = ColoredComplex(cc.complex, 3, {**cc.coloring, 1: 3})
+        monkeypatch.setattr(verify_mod, "construct_from_vector", lambda cv: (recolored, report))
+        rec = verify_graph(c5)
+        assert rec.vectors_equal and rec.coloring_ok
+        assert self.verdicts(clique_vector(c5), rec) == (False, True)
+        assert not rec.ok
 
 
 class TestExhaustive:
@@ -175,7 +220,7 @@ class TestPackedSweep:
 
     @staticmethod
     def recount(n, mask):
-        return tuple(_clique_counts(_mask_adjacency(n, mask), (1 << n) - 1, 1 << 30))
+        return tuple(_clique_counts(_mask_adjacency(n, mask), (1 << n) - 1, 1 << 30, n))
 
     def test_every_mask_to_six_matches_a_recount(self):
         for n in range(7):
