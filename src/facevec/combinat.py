@@ -8,7 +8,8 @@ expansion with every index shifted up by one.
 
 One greedy descent serves both, a color budget of None meaning plain.  Each
 term comes from a log-domain root estimate and an exact integer search, in
-time logarithmic in m and with no tables.
+time logarithmic in m and with no tables.  One memo, ``_forms``, holds each
+form's shadow (the rev-lex levels) and successor bound (every bound check).
 """
 from __future__ import annotations
 
@@ -23,9 +24,7 @@ from .errors import InvariantViolation
 def turan_binom(n: int, k: int, r: int) -> int:
     """Number of k-cliques of the balanced complete r-partite graph on n vertices.
 
-    A k-clique picks k distinct parts and one vertex from each.  The parts
-    take two sizes, q + 1 (rem of them) and q, so picking i of the larger
-    ones gives sum_i C(rem, i) C(r - rem, k - i) (q + 1)^i q^(k - i).
+    The parts take two sizes, q + 1 (rem of them) and q (``_transversals``).
     Vanishes for k > r and reduces to a plain binomial once r >= n.
     """
     if k > r:
@@ -33,9 +32,16 @@ def turan_binom(n: int, k: int, r: int) -> int:
     if n <= r:
         return comb(n, k)
     q, rem = divmod(n, r)
+    return _transversals(rem, r - rem, q, k)
+
+
+def _transversals(a: int, b: int, q: int, j: int) -> int:
+    """j-cliques of the complete multipartite graph with ``a`` parts of size
+    q + 1 and ``b`` of size q: one vertex from each of j parts, i of them
+    large, sum_i C(a, i) C(b, j - i) (q + 1)^i q^(j - i) over nonzero terms."""
     total = 0
-    for i in range(max(0, k - r + rem), min(k, rem) + 1):
-        total += comb(rem, i) * comb(r - rem, k - i) * (q + 1) ** i * q ** (k - i)
+    for i in range(max(0, j - b), min(j, a) + 1):
+        total += comb(a, i) * comb(b, j - i) * (q + 1) ** i * q ** (j - i)
     return total
 
 
@@ -176,7 +182,14 @@ def ffk_canonical(m: int, k: int, r: int) -> CanonicalRep:
     return _canonical(m, k, r)
 
 
-@lru_cache(maxsize=4096)  # the pair construction re-checks the same few counts
 def ffk_bound(m: int, k: int, r: int) -> int:
     """Maximum count of (k+1)-faces in an r-colorable complex with m k-faces."""
-    return ffk_canonical(m, k, r).successor_bound()
+    return _forms(m, k, r)[1]
+
+
+@lru_cache(maxsize=1 << 14)  # levels, margins and pair checks repeat their counts
+def _forms(m: int, k: int, r: int | None) -> tuple[int, int]:
+    """Shadow and successor bound of the (k, r)-canonical form of m, the
+    plain k-canonical one when r is None: one descent per (m, k, r)."""
+    rep = kk_canonical(m, k) if r is None else ffk_canonical(m, k, r)
+    return rep.shadow(), rep.successor_bound()

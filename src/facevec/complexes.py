@@ -74,14 +74,15 @@ class ColoredComplex:
         return len(set(self.coloring.values()))
 
 
-def _close(faces, floor: int, cap: int) -> tuple[set[Face], list[set[Face]]]:
+def _close(faces, floor: int, cap: int) -> tuple[set[Face], list[int]]:
     """Walk the downward closure of ``faces`` from the largest size to ``floor``.
 
     Level s is the given s-faces plus the codimension-1 boundaries of level
     s+1, so by induction it holds every s-face of the closure; a given face
-    in no boundary is a facet.  Returns the facets and the levels by size,
-    empty below ``floor``.  Raises ``GuardExceeded`` once the walk holds more
-    than ``cap`` faces, or up front when one level of the largest face would.
+    in no boundary is a facet, and only the level above is held.  Returns the
+    facets and the face counts by size, 0 below ``floor``.  Raises
+    ``GuardExceeded`` once the walk holds more than ``cap`` faces, or up
+    front when one level of the largest face would.
     """
     given: dict[int, set[Face]] = {}
     for size, run in groupby(faces, len):
@@ -89,26 +90,25 @@ def _close(faces, floor: int, cap: int) -> tuple[set[Face], list[set[Face]]]:
     top = max(given, default=-1)
     if top >= 0 and comb(top, max(floor, top // 2)) > cap:
         raise GuardExceeded(f"closure exceeds the face cap {cap}")
-    levels: list[set[Face]] = [set() for _ in range(top + 2)]
-    facets: set[Face] = set()
-    room = cap
+    counts, facets, level = [0] * (top + 1), set(), set()
     for s in range(top, floor - 1, -1):
-        level, own = levels[s], given.get(s, set())
-        for f in levels[s + 1]:
+        above, level, room = level, set(), cap - sum(counts)
+        own = given.get(s, set())
+        for f in above:
             level.update(combinations(f, s))
             if len(level) > room:
                 break
         facets |= own - level
         level |= own
-        room -= len(level)
-        if room < 0:
+        counts[s] = len(level)
+        if counts[s] > room:
             raise GuardExceeded(f"closure exceeds the face cap {cap}")
-    return facets, levels[:-1]
+    return facets, counts
 
 
 def face_vector(c: Complex) -> FaceVector:
     """Exact face counts (c_0, c_1, ..., c_d) of the closure; () when empty."""
-    return tuple(map(len, _close(c.facets, 0, face_guard())[1]))
+    return tuple(_close(c.facets, 0, face_guard())[1])
 
 
 def check_coloring(cc: ColoredComplex) -> bool:

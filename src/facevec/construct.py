@@ -117,7 +117,7 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
         return ConstructionTrace(kind="flat", k=k, colors=r, base_levels=((k, ck),))
 
     # Pivot: the vertex in the most (k+1)-cliques, i.e. whose link has the
-    # most k-cliques; ties go to the lowest label (labels ascend with bits),
+    # most k-cliques; ties go to the lowest label (bit i is label i + 1),
     # and vertices outside ``within`` carry no credit.
     adj = g.adj
     if credit is None:
@@ -139,11 +139,11 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
         raise InvariantViolation("peeling failed to reduce the (k+1)-face count")
 
     # Peel v_0, v_1, ..., v_s, recording each peeled vertex's link counts.
-    steps = [(g.label(i0), ck_link, vec_entry(link_cv, k - 1))]
+    steps = [(i0 + 1, ck_link, vec_entry(link_cv, k - 1))]
     peeled = within & ~(1 << i0)
     for i in non_neighbors:
         lv = _clique_counts(adj, adj[i] & peeled, cap, k)
-        steps.append((g.label(i), vec_entry(lv, k), vec_entry(lv, k - 1)))
+        steps.append((i + 1, vec_entry(lv, k), vec_entry(lv, k - 1)))
         peeled &= ~(1 << i)
 
     # Inner induction on the (k+1)-count, over the link's mask.
@@ -180,8 +180,8 @@ def _trace(g: Graph, within: int, cv: tuple[int, ...] | list[int],
         k=k,
         colors=r,
         base_levels=levels.entries,
-        pivot=g.label(i0),
-        non_neighbors=tuple(g.label(i) for i in non_neighbors),
+        pivot=i0 + 1,
+        non_neighbors=tuple(i + 1 for i in non_neighbors),
         steps=recorded,
         sub=sub,
     )

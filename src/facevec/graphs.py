@@ -5,8 +5,7 @@ cliques: a whole clique vector pivots, so one leaf stands for 2^q cliques,
 and a pass bounded by depth (the pair construction's) enumerates by
 recursive extension, its last level counting its candidates.  A subgraph
 is a vertex mask over its graph (a link is ``adj[i] & mask``), so nothing
-is ever copied or relabelled; a graph carries a label map only when it
-comes from vertex names that are not 1..n, as a complex's 1-skeleton does.
+is ever copied or relabelled.
 """
 from __future__ import annotations
 
@@ -63,17 +62,11 @@ def _mask_adjacency(n: int, mask: int) -> tuple[int, ...]:
 class Graph:
     """Undirected simple graph; ``adj[i]`` is the neighbor bitmask of vertex i.
 
-    Bits are 0-based internal indices; public labels are ``labels[i]`` when a
-    label map is present and i + 1 otherwise.  Label maps are kept ascending
-    so faces built from them stay sorted.
+    Bit i stands for the vertex labelled i + 1.
     """
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[int, ...] | None = None
-
-    def label(self, i: int) -> int:
-        return self.labels[i] if self.labels is not None else i + 1
 
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":

@@ -8,18 +8,18 @@ element, and each group is the smaller sets below it, with r set only those
 whose residues avoid the ones already taken.  ``first_ksets``,
 ``first_permissible_ksets`` and ``revlex_faces`` read a cached prefix of each
 segment; the facets ``revlex_tails`` and the twins print are walked from
-their rank unless that prefix already reaches them.
+their rank unless that prefix already reaches them.  ``combinat`` gives the
+level shadows, from its one memo of canonical forms, and the group sizes.
 """
 from __future__ import annotations
 
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count, islice
 from math import comb
 
-from .combinat import ffk_canonical, kk_canonical
+from .combinat import _forms, _transversals
 from .complexes import Face, FaceVector
 from .errors import GuardExceeded, InputFormatError
 from .limits import face_guard
@@ -68,13 +68,12 @@ def _walk(k: int, r: int | None, skip: int = 0) -> Iterator[Face]:
 def _below(top: int, j: int, r: int | None, used: int) -> int:
     """How many j-sets below ``top`` have distinct residues mod r outside
     ``used`` (all C(top - 1, j) when plain): with top - 1 = q r + rem, residues
-    1..rem hold q + 1 values, the rest q; ``turan_binom``'s sum over the free ones."""
+    1..rem hold q + 1 values, the rest q, and each free residue is a part."""
     if r is None:
         return comb(top - 1, j)
     q, rem = divmod(top - 1, r)
     low = (1 << rem + 1) - 2
-    a, b = (low & ~used).bit_count(), r - rem - (used & ~low).bit_count()
-    return sum(comb(a, i) * comb(b, j - i) * (q + 1) ** i * q ** (j - i) for i in range(j + 1))
+    return _transversals((low & ~used).bit_count(), r - rem - (used & ~low).bit_count(), q, j)
 
 
 # Initial segments, append-only, shared by ``first_(permissible_)ksets`` and
@@ -196,22 +195,16 @@ def revlex_faces(spec: LevelSpec, colors: int | None = None) -> list[Face]:
     return [f for size, m in spec.entries for f in _first(m, size, colors)] or [()]
 
 
-@lru_cache(maxsize=1 << 14)  # the pair construction's cones repeat their counts
-def _shadow(m: int, s: int, colors: int | None) -> int:
-    """Length of the (s-1)-shadow of the first m s-sets, itself an initial
-    segment (Kruskal-Katona; Frankl-Füredi-Kalai for colored sets)."""
-    return (kk_canonical(m, s) if colors is None else ffk_canonical(m, s, colors)).shadow()
-
-
 def _levels(spec: LevelSpec, colors: int | None) -> Iterator[tuple[int, int, int]]:
     """Each level of the complex ``revlex_faces`` generates, from the top
     down to the empty face, as (s, start, L_s): L_s = max(m_s, start) sets,
-    where start is the shadow of level s + 1, taken once it is asked for."""
+    where start is the shadow of level s + 1, an initial segment whose
+    length is read off ``combinat``'s memo once it is asked for."""
     given, shadow = dict(spec.entries), 0
     for s in range(max((s for s, m in spec.entries if m), default=0), 0, -1):
         length = max(given.get(s, 0), shadow)
         yield s, shadow, length
-        shadow = _shadow(length, s, colors)
+        shadow = _forms(length, s, colors)[0]
     yield 0, shadow, 1
 
 

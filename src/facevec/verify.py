@@ -217,4 +217,4 @@ def oracle_face_count(spec: LevelSpec, colors: int | None = None) -> tuple[int, 
     Entirely independent of the canonical-representation bound formulas; this
     is the ground truth the bounds are validated against.
     """
-    return tuple(map(len, _close(revlex_faces(spec, colors), 0, face_guard())[1]))
+    return tuple(_close(revlex_faces(spec, colors), 0, face_guard())[1])

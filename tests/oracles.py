@@ -382,9 +382,11 @@ def graph_from_edges(n, edges):
     return Graph(n=n, adj=_adjacency(n, ((u - 1, v - 1) for u, v in edges)))
 
 
-def edges(g):
-    """Edges as label pairs, in edge-mask order."""
-    return [(g.label(i), g.label(j)) for i, j in _lex_pairs(g.n) if g.adj[i] >> j & 1]
+def edges(g, names=None):
+    """Edges as label pairs, in edge-mask order; bit i is named ``names[i]``
+    when given, i + 1 otherwise."""
+    names = range(1, g.n + 1) if names is None else names
+    return [(names[i], names[j]) for i, j in _lex_pairs(g.n) if g.adj[i] >> j & 1]
 
 
 def cliques(g):
@@ -398,7 +400,7 @@ def cliques(g):
             b = cand & -cand
             cand ^= b
             i = b.bit_length() - 1
-            cur = prefix + (g.label(i),)
+            cur = prefix + (i + 1,)
             emitted += 1
             if emitted > cap:
                 raise GuardExceeded(f"clique count exceeds the cap {cap}")
@@ -441,8 +443,8 @@ def all_graphs(n):
 def complex_and_face_vector(faces):
     """The complex the trusted ``faces`` generate and its face vector, from
     one ``_close`` walk down to the empty face, under the face guard."""
-    facets, levels = _close(faces, 0, face_guard())
-    return Complex(frozenset(facets)), tuple(map(len, levels))
+    facets, counts = _close(faces, 0, face_guard())
+    return Complex(frozenset(facets)), tuple(counts)
 
 
 def walked_pair(trace):
@@ -481,12 +483,12 @@ CHROMATIC_CAP = 20
 
 
 def one_skeleton(c):
-    """Underlying graph: all vertices, edges = two-element faces."""
+    """Underlying graph on 1..n, edges = two-element faces, and the sorted
+    vertices of ``c`` it stands for: label i + 1 is ``verts[i]``."""
     verts = c.vertices
     index = {v: i for i, v in enumerate(verts)}
     pairs = ((index[u], index[w]) for facet in c.facets for u, w in combinations(facet, 2))
-    labels = None if verts == tuple(range(1, len(verts) + 1)) else verts
-    return Graph(n=len(verts), adj=_adjacency(len(verts), pairs), labels=labels)
+    return Graph(n=len(verts), adj=_adjacency(len(verts), pairs)), verts
 
 
 def chromatic_number(g):
@@ -548,4 +550,4 @@ def is_balanced(c):
     """True iff the chromatic number of the 1-skeleton equals dimension + 1."""
     if not c.vertices:
         return True
-    return chromatic_number(one_skeleton(c)) == c.dimension + 1
+    return chromatic_number(one_skeleton(c)[0]) == c.dimension + 1

@@ -117,24 +117,25 @@ class TestFaceVector:
 
 class TestOneSkeleton:
     def test_pentagon_gives_back_cycle(self, pentagon, c5):
-        skel = one_skeleton(pentagon)
-        assert skel.n == 5
+        skel, verts = one_skeleton(pentagon)
+        assert skel.n == 5 and verts == (1, 2, 3, 4, 5)
         assert sorted(edges(skel)) == sorted(edges(c5))
 
     def test_triangle_facet_gives_k3(self):
-        skel = one_skeleton(Complex.from_faces([(1, 2, 3)]))
+        skel, _ = one_skeleton(Complex.from_faces([(1, 2, 3)]))
         assert sorted(edges(skel)) == [(1, 2), (1, 3), (2, 3)]
 
     def test_sparse_labels_are_preserved(self):
-        skel = one_skeleton(Complex.from_faces([(2, 7), (9,)]))
-        assert skel.n == 3 and skel.labels == (2, 7, 9)
-        assert edges(skel) == [(2, 7)]
+        skel, verts = one_skeleton(Complex.from_faces([(2, 7), (9,)]))
+        assert skel.n == 3 and verts == (2, 7, 9)
+        assert edges(skel) == [(1, 2)]
+        assert edges(skel, verts) == [(2, 7)]
 
 
 def is_flag(cx):
     """A complex is flag exactly when its face vector is the clique vector of
     its own 1-skeleton, since every face is a clique of the skeleton."""
-    return not cx.facets or face_vector(cx) == clique_vector(one_skeleton(cx))
+    return not cx.facets or face_vector(cx) == clique_vector(one_skeleton(cx)[0])
 
 
 class TestIsFlag:

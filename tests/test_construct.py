@@ -7,14 +7,12 @@ import random
 import subprocess
 import sys
 from collections import defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from facevec import (
-    Complex,
     Graph,
     check_coloring,
     clique_vector,
@@ -24,6 +22,7 @@ from facevec import (
     face_vector,
 )
 import facevec
+from facevec import combinat as combinat_mod
 from facevec import complexes as complexes_mod
 from facevec import construct as construct_mod
 from facevec import revlex as revlex_mod
@@ -68,7 +67,7 @@ class TestConstructPairExamples:
         vec = face_vector(cc.complex)
         assert vec_entry(vec, 1) == 5 and vec_entry(vec, 2) == 5
         assert check_coloring(cc)
-        assert chromatic_number(one_skeleton(cc.complex)) == 2
+        assert chromatic_number(one_skeleton(cc.complex)[0]) == 2
 
     def test_edgeless_matches_vertices_at_level_one(self):
         g = graph_from_edges(6, [])
@@ -126,39 +125,6 @@ class TestConstructPairTrace:
                         (complete_graph(6), 6, 3), (Graph.from_edge_mask(7, 0x1F3B6F), 5, 2)]:
             _, trace = construct_pair(g, r, k)
             audit(trace, range(1, g.n + 1), edges(g), k)
-
-    def test_labelled_graph_names_its_labels(self):
-        cx = Complex.from_faces([(2, 5, 9), (5, 9, 14), (9, 14, 20), (2, 20), (5, 31),
-                                 (14, 31), (20, 31, 44), (3, 44)])
-        g = one_skeleton(cx)
-        assert g.labels == (2, 3, 5, 9, 14, 20, 31, 44)
-        plain = Graph(n=g.n, adj=g.adj)
-        name = dict(enumerate(g.labels, start=1))
-
-        def relabel(trace):
-            if trace is None:
-                return None
-            return replace(
-                trace,
-                pivot=None if trace.pivot is None else name[trace.pivot],
-                non_neighbors=tuple(name[v] for v in trace.non_neighbors),
-                steps=tuple(replace(s, vertex=name[s.vertex]) for s in trace.steps),
-                sub=relabel(trace.sub),
-            )
-
-        r = len(clique_vector(g)) - 1
-        cones = 0
-        for k in range(0, r + 2):
-            cc, trace = construct_pair(g, r, k)
-            cc_plain, trace_plain = construct_pair(plain, r, k)
-            assert trace == relabel(trace_plain)
-            assert cc == cc_plain
-            if trace.kind == "cone":
-                cones += 1
-                assert trace.pivot in g.labels
-                assert trace.non_neighbors and set(trace.non_neighbors) <= set(g.labels)
-                assert {s.vertex for s in trace.steps} <= set(g.labels)
-        assert cones == 2
 
     def test_no_walk_per_call(self, monkeypatch, tmp_path):
         # The pair complex is read off its level counts, and the audited
@@ -218,8 +184,7 @@ class TestConstructPairTrace:
     def test_added_vertices_pairwise_non_adjacent(self, c5):
         cc, trace = construct_pair(c5, 2, 1)
         added = {s.added_vertex for s in trace.steps}
-        skel = one_skeleton(cc.complex)
-        for u, v in edges(skel):
+        for u, v in edges(*one_skeleton(cc.complex)):
             assert not (u in added and v in added)
 
     def test_added_vertices_all_wear_the_last_color(self, c5):
@@ -309,8 +274,7 @@ class TestPairGoldenAndMemos:
         assert digest.hexdigest() == PAIR_GOLDEN_SHA256
 
     def test_warm_memos_change_nothing(self, monkeypatch):
-        ffk_bound.cache_clear()
-        revlex_mod._shadow.cache_clear()
+        combinat_mod._forms.cache_clear()
         g = random_graph(14, Fraction(2, 3), "pairmemo:0")
         r = len(clique_vector(g)) - 1
         cold = [_pair_outcome(g, r, k) for k in range(r + 1)]
@@ -318,8 +282,7 @@ class TestPairGoldenAndMemos:
             other = random_graph(14, Fraction(2, 3), f"pairmemo:{i}")
             for k in range(len(clique_vector(other))):
                 construct_pair(other, len(clique_vector(other)), k)
-        assert ffk_bound.cache_info().hits > 0
-        assert revlex_mod._shadow.cache_info().hits > 0
+        assert combinat_mod._forms.cache_info().hits > 0
         assert [_pair_outcome(g, r, k) for k in range(r + 1)] == cold
 
         # A tail [skip, m) of a segment comes from the shared prefix when it
@@ -348,8 +311,8 @@ class TestPairGoldenAndMemos:
 
     def test_guard_switches_match_fresh_processes(self, monkeypatch):
         # 300 passes the clique count of this graph but trips two of the
-        # closures; the warm ``ffk_bound`` and shadow memos keep nothing of
-        # the guard.
+        # closures; the warm memo of canonical forms keeps nothing of the
+        # guard.
         script = _FRESH_OUTCOMES.format(outcome=inspect.getsource(_pair_outcome))
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(facevec.__file__)))
         fresh = {}
@@ -362,8 +325,7 @@ class TestPairGoldenAndMemos:
                             for o in json.loads(proc.stdout)]
         assert any(isinstance(o, str) and "closure" in o for o in fresh["300"])
         assert any(isinstance(o, str) and "clique count" in o for o in fresh["200"])
-        ffk_bound.cache_clear()
-        revlex_mod._shadow.cache_clear()
+        combinat_mod._forms.cache_clear()
         g = random_graph(12, Fraction(3, 4), "pairguard:0")
         for guard in ("1000", "300", "200", "300", "1000", "300"):
             monkeypatch.setenv("FACEVEC_GUARD", guard)
@@ -399,7 +361,7 @@ class TestPairGoldenAndMemos:
                     for ck1 in range(0, ffk_bound(ck, k, colors) + 1, 2):
                         segments = first_permissible_ksets(ck, k, colors)
                         segments += first_permissible_ksets(ck1, k + 1, colors)
-                        walked = len(complexes_mod._close(segments, k - 1, CAP)[1][k - 1])
+                        walked = complexes_mod._close(segments, k - 1, CAP)[1][k - 1]
                         assert ffk_canonical(ck, k, colors).shadow() == walked
                         cases += 1
         assert cases > 300
@@ -567,6 +529,22 @@ class TestConstructBalanced:
         monkeypatch.setattr(revlex_mod, "_segments", {})
         _, report = construct_from_vector(cv)
         assert sum(walked) == len(report.facets)
+
+    def test_cold_twin_descends_once_per_level(self, monkeypatch):
+        # the margins and the levels read one memo: each (m, k, r) is
+        # descended once, one per level of the deep:38 twin
+        cv = clique_vector(random_graph(38, Fraction(3, 4), "deep:38"))
+        descents, canonical = [], combinat_mod._canonical
+
+        def counted(m, k, r):
+            descents.append((m, k, r))
+            return canonical(m, k, r)
+
+        monkeypatch.setattr(combinat_mod, "_canonical", counted)
+        combinat_mod._forms.cache_clear()
+        construct_from_vector(cv)
+        assert len(set(descents)) == len(cv) - 1 == 11
+        assert len(descents) == 11
 
     def test_coloring_keys_are_the_vertices(self):
         # the twins color 1..L_1 and the cone apexes without a facet scan

@@ -437,7 +437,7 @@ class TestColoredRevlexComplex:
 
     def test_skeleton_splits_odd_even(self):
         cc = colored_revlex_complex(LevelSpec.of((2, 5)), 2)
-        for u, v in edges(one_skeleton(cc.complex)):
+        for u, v in edges(*one_skeleton(cc.complex)):
             assert u % 2 != v % 2
 
     def test_one_color_gives_isolated_vertices(self):
